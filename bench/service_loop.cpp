@@ -5,14 +5,14 @@
 /// the AnalysisService exists for.
 ///
 /// Part 1 replays an identical deterministic edit/re-query script under
-/// four configurations and compares *warm re-query throughput* (query
+/// three configurations and compares *warm re-query throughput* (query
 /// time only; commit cost reported separately):
 ///
-///   from-scratch            new PAG + cold engine per cycle
-///   clear-all               AnalysisService, store dropped per commit
-///   per-method              single-threaded EditSession (private cache)
-///   per-method+shared-store AnalysisService, per-method store
-///                           invalidation + parallel batches
+///   from-scratch                  new PAG + cold engine per cycle
+///   per-method+shared-store       AnalysisService, per-method store
+///                                 invalidation + parallel batches
+///   per-method+shared (1 thread)  the same service on one engine
+///                                 thread (the single-threaded editor)
 ///
 /// Part 2 runs the real concurrent loop — reader threads stream query
 /// batches while the editor thread commits — and reports sustained
@@ -56,7 +56,6 @@
 
 #include "Harness.h"
 
-#include "incremental/EditSession.h"
 #include "server/CommandInterpreter.h"
 #include "server/Serverd.h"
 #include "service/AnalysisService.h"
@@ -255,21 +254,15 @@ int main(int argc, char **argv) {
     AddRow("from-scratch", FromScratch);
   }
 
-  // --- the two service policies ----------------------------------------
-  LoopResult ClearAllR, SharedR;
-  engine::StoreCounters SharedCounters;
-  std::vector<engine::StoreCounters> SharedStripes;
-  for (InvalidationPolicy Policy :
-       {InvalidationPolicy::ClearAll, InvalidationPolicy::PerMethod}) {
+  // --- the service: per-method store invalidation ----------------------
+  // Replays the script through an AnalysisService whose batches run on
+  // \p Threads engine threads; returns the store's counters.
+  auto RunService = [&](unsigned Threads, LoopResult &R) {
     ServiceOptions SO;
-    SO.Engine = Opts.engineOptions(Opts.Threads);
-    SO.Policy = Policy;
+    SO.Engine = Opts.engineOptions(Threads);
     AnalysisService S(makeProgram(Opts), SO);
     std::vector<ir::VarId> Probe = probeVariables(S.program(), 61);
     (void)S.queryVars(Probe); // warm start
-
-    LoopResult &R = Policy == InvalidationPolicy::ClearAll ? ClearAllR
-                                                           : SharedR;
     for (unsigned I = 0; I < kCycles; ++I) {
       Timer Commit;
       S.editProgram([I](ir::Program &P) { return applyEdit(P, I); });
@@ -283,75 +276,25 @@ int main(int argc, char **argv) {
       R.Steps += BR.Stats.TotalSteps;
       R.Computed += BR.Stats.SummariesComputed;
     }
-    if (Policy == InvalidationPolicy::PerMethod) {
-      ServiceStats SS = S.stats();
-      SharedCounters = SS.Store;
-      SharedStripes = SS.StoreStripes;
-    }
-    AddRow(Policy == InvalidationPolicy::ClearAll ? "clear-all (service)"
-                                                  : "per-method+shared-store",
-           R);
-  }
+    return S.stats();
+  };
 
-  // --- per-method on the single-threaded EditSession -------------------
-  LoopResult PerMethodR;
-  {
-    auto P = makeProgram(Opts);
-    std::vector<ir::VarId> Probe = probeVariables(*P, 61);
-    EditSession S(std::move(P), Opts.analysisOptions(),
-                  InvalidationPolicy::PerMethod);
-    for (ir::VarId V : Probe)
-      S.queryVar(V); // warm start
+  LoopResult SharedR;
+  ServiceStats SharedStats = RunService(Opts.Threads, SharedR);
+  AddRow("per-method+shared-store", SharedR);
 
-    for (unsigned I = 0; I < kCycles; ++I) {
-      Timer Commit;
-      for (ir::MethodId M : applyEdit(S.program(), I))
-        S.markDirty(M); // same script, via direct mutation + markDirty
-      CommitStats CS = S.commit();
-      PerMethodR.CommitSeconds += Commit.seconds();
-      PerMethodR.Dropped += CS.SummariesDropped;
-
-      Timer Q;
-      for (ir::VarId V : Probe)
-        PerMethodR.Steps += S.queryVar(V).Steps;
-      PerMethodR.QuerySeconds += Q.seconds();
-    }
-    AddRow("per-method (session)", PerMethodR);
-  }
-
-  // --- per-method+shared-store pinned to ONE engine thread -------------
   // The same replay with no intra-batch parallelism: on a 1-core box the
-  // multi-threaded rows above mostly measure oversubscription, so this
+  // multi-threaded row above mostly measures oversubscription, so this
   // row is the one that tracks the serving-path cost per query there.
   LoopResult SingleR;
-  {
-    ServiceOptions SO;
-    SO.Engine = Opts.engineOptions(1);
-    SO.Policy = InvalidationPolicy::PerMethod;
-    AnalysisService S(makeProgram(Opts), SO);
-    std::vector<ir::VarId> Probe = probeVariables(S.program(), 61);
-    (void)S.queryVars(Probe); // warm start
-    for (unsigned I = 0; I < kCycles; ++I) {
-      Timer Commit;
-      S.editProgram([I](ir::Program &P) { return applyEdit(P, I); });
-      CommitStats CS = S.submitCommit().wait();
-      SingleR.CommitSeconds += Commit.seconds();
-      SingleR.Dropped += CS.SummariesDropped;
-
-      Timer Q;
-      ServiceBatchResult BR = S.queryVars(Probe);
-      SingleR.QuerySeconds += Q.seconds();
-      SingleR.Steps += BR.Stats.TotalSteps;
-      SingleR.Computed += BR.Stats.SummariesComputed;
-    }
-    AddRow("per-method+shared (1 thread)", SingleR);
-  }
+  RunService(1, SingleR);
+  AddRow("per-method+shared (1 thread)", SingleR);
 
   T.print(outs());
   outs() << "\nper-method+shared-store re-queries reuse every surviving\n"
-            "store entry across worker threads; clear-all recomputes the\n"
-            "world each commit, from-scratch additionally pays the PAG\n"
-            "rebuild into cold caches.\n";
+            "store entry across worker threads; from-scratch recomputes\n"
+            "the world each cycle and pays the PAG rebuild into cold\n"
+            "caches.\n";
 
   //===--------------------------------------------------------------------===//
   // Part 2: genuinely concurrent — readers stream batches over commits.
@@ -1061,7 +1004,6 @@ int main(int argc, char **argv) {
         for (int Warmed = 0; Warmed < 2; ++Warmed) {
           ServiceOptions SO;
           SO.Engine = Opts.engineOptions(1);
-          SO.Policy = InvalidationPolicy::PerMethod;
           SO.Presummarize = Warmed != 0;
           AnalysisService S(
               workload::generateProgram(workload::specByName("soot-c"), Gen),
@@ -1127,12 +1069,12 @@ int main(int argc, char **argv) {
   }
 
   // The shared store's operation counters from the Part 1 shared-store
-  // run: the hit/invalidation mix behind service.shared_over_clear_all.
+  // run: the hit/invalidation mix behind service.shared_store_qps.
   // That run serves batches on Opts.Threads engine threads, so its
   // contended-acquisition count is reported under a _mt key (the == 0
   // regression key comes from the single-threaded Part 7 run above).
   {
-    engine::StoreCounters C = SharedCounters;
+    const engine::StoreCounters &C = SharedStats.Store;
     Json.set("service.store.fetches", C.Fetches);
     Json.set("service.store.hits", C.Hits);
     Json.set("service.store.stale_fetches", C.StaleFetches);
@@ -1142,25 +1084,19 @@ int main(int argc, char **argv) {
     Json.set("service.store.lock_contended_mt", C.LockContended);
     Json.set("service.store.hit_rate",
              C.Fetches > 0 ? double(C.Hits) / double(C.Fetches) : 0.0);
-    for (size_t I = 0; I < SharedStripes.size(); ++I)
+    for (size_t I = 0; I < SharedStats.StoreStripes.size(); ++I)
       Json.set(std::string("service.store.stripe.") + std::to_string(I) +
                    ".lock_contended_mt",
-               SharedStripes[I].LockContended);
+               SharedStats.StoreStripes[I].LockContended);
   }
 
   Json.set("service.num_probe_queries", uint64_t(NumProbe));
   Json.set("service.cycles", uint64_t(kCycles));
   Json.set("service.from_scratch_qps", FromScratch.qps(NumProbe));
-  Json.set("service.clear_all_qps", ClearAllR.qps(NumProbe));
-  Json.set("service.per_method_qps", PerMethodR.qps(NumProbe));
   Json.set("service.shared_store_qps", SharedR.qps(NumProbe));
   Json.set("service.st.per_method_qps", SingleR.qps(NumProbe));
   Json.set("service.st.computed_per_cycle", SingleR.Computed / kCycles);
   Json.set("service.st.sec_per_commit", SingleR.CommitSeconds / kCycles);
-  Json.set("service.shared_over_clear_all",
-           ClearAllR.QuerySeconds > 0.0 && SharedR.QuerySeconds > 0.0
-               ? ClearAllR.QuerySeconds / SharedR.QuerySeconds
-               : 0.0);
   Json.set("service.concurrent_batches", Batches);
   Json.set("service.concurrent_stale_batches", Drained);
   Json.set("service.concurrent_qps",

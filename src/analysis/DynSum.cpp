@@ -471,5 +471,3 @@ void DynSumAnalysis::invalidateMethod(ir::MethodId M) {
       ++It;
   }
 }
-
-void DynSumAnalysis::clearTrivialMemo() { TrivialSummaries.clear(); }

@@ -8,7 +8,7 @@
 /// worker owns a private DynSumAnalysis — its own StackPools, summary
 /// cache and budget accounting — so the sequential algorithms run
 /// unmodified; the only cross-thread structure is the read-mostly
-/// SharedSummaryStore that lets workers reuse each other's
+/// TieredSummaryStore that lets workers reuse each other's
 /// context-independent PPTA summaries.
 ///
 /// Because summaries are deterministic in (node, fields, state) and
@@ -35,7 +35,7 @@
 #define DYNSUM_ENGINE_QUERYSCHEDULER_H
 
 #include "engine/QueryBatch.h"
-#include "engine/SummaryStore.h"
+#include "engine/TieredStore.h"
 
 #include <string>
 #include <string_view>
@@ -55,7 +55,7 @@ public:
   /// through this scheduler still answers correctly (against \p G) but
   /// without shared reuse.
   QueryScheduler(const pag::PAG &G, EngineOptions Opts,
-                 SharedSummaryStore &Shared, uint64_t Generation)
+                 TieredSummaryStore &Shared, uint64_t Generation)
       : Graph(G), Opts(Opts), StorePtr(&Shared), PinnedGen(Generation),
         HasPinnedGen(true) {}
 
@@ -89,8 +89,8 @@ public:
 
   const pag::PAG &graph() const { return Graph; }
   const EngineOptions &options() const { return Opts; }
-  SharedSummaryStore &store() { return *StorePtr; }
-  const SharedSummaryStore &store() const { return *StorePtr; }
+  TieredSummaryStore &store() { return *StorePtr; }
+  const TieredSummaryStore &store() const { return *StorePtr; }
 
 private:
   /// Runs queries [\p Indices] of \p B on one private analysis instance,
@@ -104,8 +104,8 @@ private:
 
   const pag::PAG &Graph;
   EngineOptions Opts;
-  SharedSummaryStore OwnStore;
-  SharedSummaryStore *StorePtr;
+  TieredSummaryStore OwnStore;
+  TieredSummaryStore *StorePtr;
   /// Epoch pin for external-store schedulers; own-store schedulers pin
   /// each batch at the store's generation when the batch starts.
   uint64_t PinnedGen = 0;

@@ -46,9 +46,9 @@
 /// beginGeneration accumulates the plan's methods into an invalidated
 /// set.  A disk record whose key node's method was EVER invalidated
 /// since attach is refused — exactly the summaries a resident hot
-/// entry would have been swept for — and clear() (rollback, ClearAll
-/// policy) detaches the tier entirely, since its lineage assumption is
-/// gone.  Nodes created after attach skip the disk probe.
+/// entry would have been swept for — and clear() (rollback) detaches
+/// the tier entirely, since its lineage assumption is gone.  Nodes
+/// created after attach skip the disk probe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -110,8 +110,8 @@ public:
   size_t size() const;
 
   /// Drops every hot summary, detaches the disk tier (its lineage
-  /// assumption no longer holds after a clear-all or rollback), and
-  /// bumps the generation.
+  /// assumption no longer holds after a rollback), and bumps the
+  /// generation.
   void clear();
 
   /// Publishes every summary cached in \p A into the current generation
@@ -223,9 +223,6 @@ private:
   std::atomic<bool> HasDisk{false};
 };
 
-/// Compatibility name: the rest of the codebase predates the tiering.
-using SharedSummaryStore = TieredSummaryStore;
-
 /// A SummaryExchange view of a TieredSummaryStore pinned to one
 /// generation.  Batches hold one of these for their whole run: if a
 /// commit publishes a new generation mid-batch, the remaining fetches
@@ -235,7 +232,7 @@ using SharedSummaryStore = TieredSummaryStore;
 /// beyond the pin — one instance may serve every worker of a batch.
 class SummaryStoreEpoch : public analysis::SummaryExchange {
 public:
-  SummaryStoreEpoch(SharedSummaryStore &Store, uint64_t Gen)
+  SummaryStoreEpoch(TieredSummaryStore &Store, uint64_t Gen)
       : Store(Store), Gen(Gen) {}
 
   uint64_t generation() const { return Gen; }
@@ -252,7 +249,7 @@ public:
   }
 
 private:
-  SharedSummaryStore &Store;
+  TieredSummaryStore &Store;
   uint64_t Gen;
 };
 

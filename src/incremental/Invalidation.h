@@ -18,10 +18,11 @@
 /// graphs, no remapping of any kind.  Nodes appended by the rebuild are
 /// new; nothing can hold a stale summary for them.
 ///
-/// The same plan is applied to every cache that outlives a commit: the
-/// private DynSumAnalysis cache of an EditSession, and the cross-thread
-/// SharedSummaryStore behind an AnalysisService (consumed through
-/// SharedSummaryStore::beginGeneration).
+/// The plan is applied to the cache that outlives a commit: the
+/// cross-thread engine::TieredSummaryStore behind an AnalysisService
+/// (consumed through TieredSummaryStore::beginGeneration).  The commit
+/// vocabulary — CommitOutcome and the per-phase CommitStats — lives
+/// here too, next to the planner every commit runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,11 +31,75 @@
 
 #include "pag/PAG.h"
 
+#include <cstdint>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 namespace dynsum {
 namespace incremental {
+
+/// How a commit ended.  Everything except Committed/NoOp leaves the
+/// generation chain and the summary store exactly as they were: the
+/// edits stay buffered and a later commit (after the bad edit is fixed
+/// or the transient fault passes) covers them.
+enum class CommitOutcome : uint8_t {
+  Committed,          ///< a new generation was published
+  NoOp,               ///< nothing was dirty
+  ValidationRejected, ///< the pre-commit IR gate found invalid edits
+  BuildFailed,        ///< the build pipeline threw (fault, bad_alloc...)
+  Quarantined,        ///< poison-edit quarantine failed the request fast
+  Shed,               ///< admission control refused the request
+};
+
+inline const char *toString(CommitOutcome O) {
+  switch (O) {
+  case CommitOutcome::Committed:
+    return "committed";
+  case CommitOutcome::NoOp:
+    return "noop";
+  case CommitOutcome::ValidationRejected:
+    return "validation-rejected";
+  case CommitOutcome::BuildFailed:
+    return "build-failed";
+  case CommitOutcome::Quarantined:
+    return "quarantined";
+  case CommitOutcome::Shed:
+    return "shed";
+  }
+  return "?";
+}
+
+/// Outcome of one commit, for reporting and the benches.
+struct CommitStats {
+  /// How the commit ended; on anything but Committed the remaining
+  /// counters describe work done before the failure (usually none).
+  CommitOutcome Outcome = CommitOutcome::NoOp;
+  /// Diagnostic for ValidationRejected / BuildFailed / Quarantined.
+  std::string Error;
+  uint64_t SummariesBefore = 0;
+  uint64_t SummariesDropped = 0;
+  /// Summaries dropped from the shared summary store (equal to
+  /// SummariesDropped: the store is the only cache a commit touches).
+  uint64_t SharedSummariesDropped = 0;
+  uint64_t MethodsInvalidated = 0;
+  /// Methods whose PAG segments the delta build re-lowered.
+  uint64_t MethodsRelowered = 0;
+  /// Wall-clock cost of the commit.
+  double Seconds = 0.0;
+  /// Pipeline phase breakdown: the generation clone, the stages carried
+  /// up from pag::DeltaStats, the invalidation plan (planInvalidation /
+  /// patchInvalidation) and the store sweep (beginGeneration) — where a
+  /// slow commit actually spent its time, per stage.  The phases are
+  /// disjoint, so they sum to at most Seconds.
+  double CloneSeconds = 0.0;
+  double ShapeSeconds = 0.0;
+  double LowerSeconds = 0.0;
+  double ApplySeconds = 0.0;
+  double RepackSeconds = 0.0;
+  double InvalidateSeconds = 0.0;
+  double StoreDropSeconds = 0.0;
+};
 
 /// Per-node boundary state recorded before a rebuild, diffed after.
 struct BoundaryFlags {

@@ -10,6 +10,9 @@
 #include "support/Debug.h"
 #include "support/OStream.h"
 
+#include <algorithm>
+#include <vector>
+
 using namespace dynsum;
 using namespace dynsum::ir;
 
@@ -121,6 +124,18 @@ void dynsum::ir::printProgram(const Program &P, OStream &OS) {
       OS << " : " << className(P, V.DeclaredType);
     OS << '\n';
   }
+  // Typed locals bucketed by owner in one pass (id order within each
+  // bucket), so the per-method "var" declarations below cost O(locals)
+  // instead of a full variable scan per method.
+  std::vector<std::vector<VarId>> TypedLocals(P.methods().size());
+  for (const Variable &V : P.variables()) {
+    if (V.IsGlobal || V.Owner >= TypedLocals.size() ||
+        V.DeclaredType == kObjectType)
+      continue;
+    const std::vector<VarId> &Params = P.method(V.Owner).Params;
+    if (std::find(Params.begin(), Params.end(), V.Id) == Params.end())
+      TypedLocals[V.Owner].push_back(V.Id);
+  }
   for (const Method &M : P.methods()) {
     OS << "method " << P.describeMethod(M.Id) << '(';
     for (size_t I = 0; I < M.Params.size(); ++I) {
@@ -134,17 +149,9 @@ void dynsum::ir::printProgram(const Program &P, OStream &OS) {
     OS << ") {\n";
     // Re-emit "var x : T" declarations so locals' declared types (used
     // by CHA and SafeCast) survive the round-trip.
-    for (const Variable &V : P.variables()) {
-      if (V.IsGlobal || V.Owner != M.Id || V.DeclaredType == kObjectType)
-        continue;
-      bool IsParam = false;
-      for (VarId Param : M.Params)
-        IsParam |= Param == V.Id;
-      if (IsParam)
-        continue;
-      OS << "  var " << Names.text(V.Name) << " : "
-         << className(P, V.DeclaredType) << '\n';
-    }
+    for (VarId L : TypedLocals[M.Id])
+      OS << "  var " << varName(P, L) << " : "
+         << className(P, P.variable(L).DeclaredType) << '\n';
     for (const Statement &S : M.Stmts) {
       OS << "  ";
       printStatement(P, S, OS);

@@ -127,7 +127,6 @@ bool AnalysisServer::addTenant(const std::string &Name,
   SO.Engine.Analysis = Opts.Analysis;
   SO.Commit = CommitCtx;
   SO.KeepGenerations = Opts.KeepGenerations;
-  SO.StoreStripes = Opts.StoreStripes;
   SO.Presummarize = Opts.Presummarize;
   SO.Overload = Opts.Overload;
   if (!Opts.SnapshotDir.empty()) {

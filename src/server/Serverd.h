@@ -69,8 +69,6 @@ struct ServerOptions {
   unsigned CommitThreads = 1;
   /// Per-tenant retained-generation count (rollback window).
   unsigned KeepGenerations = 0;
-  /// Per-tenant summary-store stripe count (0 = store default).
-  unsigned StoreStripes = 0;
   /// Per-tenant post-commit warm pass.
   bool Presummarize = false;
   /// Per-tenant load-shedding watermarks (defaults disable shedding).

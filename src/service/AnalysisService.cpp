@@ -22,7 +22,6 @@ using namespace dynsum::service;
 using incremental::CommitOutcome;
 using incremental::CommitStats;
 using incremental::InvalidationPlan;
-using incremental::InvalidationPolicy;
 
 //===----------------------------------------------------------------------===//
 // CommitTicket
@@ -55,8 +54,7 @@ uint64_t CommitTicket::generation() const {
 
 AnalysisService::AnalysisService(std::unique_ptr<ir::Program> P,
                                  ServiceOptions Opts)
-    : Opts(std::move(Opts)), Prog(std::move(P)),
-      Store(this->Opts.StoreStripes) {
+    : Opts(std::move(Opts)), Prog(std::move(P)) {
   // Parallel commit budgets get a persistent pool once, here, so every
   // phase of every commit reuses the same threads instead of spawning
   // fresh ones per phase.
@@ -213,19 +211,11 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
   // previous commit (CachedBoundary); whether they can be patched in
   // O(delta) or must be re-diffed in full is decided after the delta
   // build below.  The old generation's graph is immutable, so a full
-  // sweep — needed only on the first commit and after rollback or a
-  // ClearAll commit — can equally run after the build.
+  // sweep — needed only on the first commit and after rollback — can
+  // equally run after the build.
   std::shared_ptr<const Generation> Old = current();
   const bool CarriedValid = CachedBoundaryGen == Old->Number;
   CachedBoundaryGen = kNoBoundaryGen;
-
-  // Pre-summarization scope: ClearAll drops every summary, so only a
-  // full warm makes sense regardless of the configured scope.  The
-  // invalidated-method set is captured from the plan below.
-  const bool WarmAll =
-      Opts.Presummarize && (Opts.Policy == InvalidationPolicy::ClearAll ||
-                            Opts.WarmScope == PresummarizeScope::All);
-  std::unordered_set<ir::MethodId> WarmMethods;
 
   // Everything below, up to the publish, is failure-isolated: the new
   // generation is built on a private copy-on-write snapshot, so a
@@ -258,37 +248,36 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
     Stats.ApplySeconds = Delta.ApplySeconds;
     Stats.RepackSeconds = Delta.RepackSeconds;
 
-    if (Opts.Policy == InvalidationPolicy::ClearAll) {
-      Stats.SummariesDropped = Store.size();
-      Store.clear(); // bumps the store generation
+    // Invalidation plan: every touched method (a forced markDirty must
+    // drop summaries even when the graph proved unchanged) plus the
+    // boundary-flag diff.  Fast path: the carried snapshot plus the
+    // repack's own dirty-node list give an O(delta) plan.  A compaction
+    // (or an invalidated carry) rederived every flag, so fall back to
+    // the full position-for-position diff and recapture the snapshot
+    // from it.
+    Timer InvalidateClock;
+    std::unordered_set<ir::MethodId> Dirty(Delta.Touched.begin(),
+                                           Delta.Touched.end());
+    InvalidationPlan Plan;
+    if (CarriedValid && !NewBuilt->Graph->lastRepackCompacted()) {
+      Plan = incremental::patchInvalidation(
+          CachedBoundary, *NewBuilt->Graph,
+          NewBuilt->Graph->lastRepackAffectedNodes(), Dirty);
     } else {
-      std::unordered_set<ir::MethodId> Dirty(Delta.Touched.begin(),
-                                             Delta.Touched.end());
-      // Fast path: the carried snapshot plus the repack's own
-      // dirty-node list give an O(delta) plan.  A compaction (or an
-      // invalidated carry) rederived every flag, so fall back to the
-      // full position-for-position diff and recapture the snapshot
-      // from it.
-      InvalidationPlan Plan;
-      if (CarriedValid && !NewBuilt->Graph->lastRepackCompacted()) {
-        Plan = incremental::patchInvalidation(
-            CachedBoundary, *NewBuilt->Graph,
-            NewBuilt->Graph->lastRepackAffectedNodes(), Dirty);
-      } else {
-        incremental::BoundarySnapshot OldBoundary =
-            CarriedValid
-                ? std::move(CachedBoundary)
-                : incremental::snapshotBoundary(*Old->Built->Graph, Exec);
-        incremental::BoundarySnapshot NewBoundary;
-        Plan = incremental::planInvalidation(OldBoundary, *NewBuilt->Graph,
-                                             Dirty, Exec, &NewBoundary);
-        CachedBoundary = std::move(NewBoundary);
-      }
-      Stats.MethodsInvalidated = Plan.Methods.size();
-      Stats.SummariesDropped = Store.beginGeneration(*NewBuilt->Graph, Plan);
-      if (Opts.Presummarize && !WarmAll)
-        WarmMethods = Plan.Methods;
+      incremental::BoundarySnapshot OldBoundary =
+          CarriedValid
+              ? std::move(CachedBoundary)
+              : incremental::snapshotBoundary(*Old->Built->Graph, Exec);
+      incremental::BoundarySnapshot NewBoundary;
+      Plan = incremental::planInvalidation(OldBoundary, *NewBuilt->Graph,
+                                           Dirty, Exec, &NewBoundary);
+      CachedBoundary = std::move(NewBoundary);
     }
+    Stats.InvalidateSeconds = InvalidateClock.seconds();
+    Stats.MethodsInvalidated = Plan.Methods.size();
+    Timer DropClock;
+    Stats.SummariesDropped = Store.beginGeneration(*NewBuilt->Graph, Plan);
+    Stats.StoreDropSeconds = DropClock.seconds();
     Stats.SharedSummariesDropped = Stats.SummariesDropped;
 
     // Publish: from here on new batches pin the new generation;
@@ -303,10 +292,8 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
         *NewGen->Built->Graph, Opts.Engine, Store, NewGen->Number);
     // The invalidation diff captured the new graph's boundary flags
     // into CachedBoundary; stamp them with the generation they
-    // describe.  A ClearAll commit skipped the diff, so its next
-    // commit re-sweeps.
-    if (Opts.Policy != InvalidationPolicy::ClearAll)
-      CachedBoundaryGen = NewGen->Number;
+    // describe.
+    CachedBoundaryGen = NewGen->Number;
     publish(std::move(NewGen));
   } catch (const std::exception &E) {
     Stats.Outcome = CommitOutcome::BuildFailed;
@@ -329,7 +316,7 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
   LastCommitRelowered.store(Stats.MethodsRelowered,
                             std::memory_order_relaxed);
   if (Opts.Presummarize)
-    scheduleWarm(WarmAll, WarmMethods);
+    scheduleWarm();
   return Stats;
 }
 
@@ -478,45 +465,31 @@ void AnalysisService::waitForCommits() {
 // Post-commit pre-summarization
 //===----------------------------------------------------------------------===//
 //
-// A successful commit queues one warm job: the variables whose
-// summaries the commit just dropped (plus the recently-queried hot
-// set, scope permitting), against the generation it published.  A
-// single warmer thread runs jobs newest-wins — a commit racing ahead
-// of a queued pass simply replaces it, and a pass racing a commit is
-// harmless because it publishes through an epoch pinned to its own
-// generation: the store's gate drops stale entries.  The pass fans out
-// over the commit ExecContext; WorkerPool::run is internally
+// A successful commit queues one warm job: the recently-queried hot
+// set, against the generation it published.  Hot variables whose
+// summaries the commit dropped recompute them; the rest cost one store
+// hit each.  A single warmer thread runs jobs newest-wins — a commit
+// racing ahead of a queued pass simply replaces it, and a pass racing a
+// commit is harmless because it publishes through an epoch pinned to
+// its own generation: the store's gate drops stale entries.  The pass
+// fans out over the commit ExecContext; WorkerPool::run is internally
 // serialized, so sharing the committer's pool costs ordering, never
 // correctness.
 
-void AnalysisService::scheduleWarm(
-    bool All, const std::unordered_set<ir::MethodId> &Methods) {
+void AnalysisService::scheduleWarm() {
   std::shared_ptr<const Generation> Gen = current();
-  const bool UseHot = !All && (Opts.WarmScope == PresummarizeScope::Hot ||
-                               Opts.WarmScope ==
-                                   PresummarizeScope::HotAndInvalidated);
-  const bool UseInvalidated =
-      !All && Opts.WarmScope != PresummarizeScope::Hot;
-  std::unordered_set<ir::VarId> Hot;
-  if (UseHot) {
-    std::lock_guard<std::mutex> Lock(HotMutex);
-    Hot = HotSet;
-  }
-  // Warm set per scope: recently-queried variables re-demand exactly
-  // the dropped summaries on paths clients actually use (hot variables
-  // whose summaries survived cost one store hit each — noise); the
-  // invalidated-method scopes add every variable the edited methods
-  // own, a speculative bet that new code is queried next.
+  // Id order keeps the pass deterministic; variables the published
+  // generation does not know are skipped.
   std::vector<ir::VarId> Vars;
-  const std::vector<ir::Variable> &AllVars = Prog->variables();
-  size_t Known = std::min(AllVars.size(), Gen->NumVars);
-  for (size_t I = 0; I < Known; ++I) {
-    if (All || (UseInvalidated && Methods.count(AllVars[I].Owner)) ||
-        (UseHot && Hot.count(ir::VarId(I))))
-      Vars.push_back(ir::VarId(I));
+  {
+    std::lock_guard<std::mutex> Lock(HotMutex);
+    for (ir::VarId V : HotSet)
+      if (V < Gen->NumVars)
+        Vars.push_back(V);
   }
   if (Vars.empty())
     return;
+  std::sort(Vars.begin(), Vars.end());
 
   std::lock_guard<std::mutex> Lock(WarmMutex);
   if (WarmStop)
@@ -716,11 +689,8 @@ AnalysisService::runBatch(const std::shared_ptr<const Generation> &Gen,
   }
 
   // Feed the warmer's hot set (capped; no eviction — a saturated set
-  // is already far more than one warm pass will chew through).  Only
-  // the hot-including scopes ever read it.
-  if (Opts.Presummarize &&
-      (Opts.WarmScope == PresummarizeScope::Hot ||
-       Opts.WarmScope == PresummarizeScope::HotAndInvalidated)) {
+  // is already far more than one warm pass will chew through).
+  if (Opts.Presummarize) {
     std::lock_guard<std::mutex> Lock(HotMutex);
     for (ir::VarId V : Vars) {
       if (HotSet.size() >= kHotSetCap)

@@ -12,7 +12,7 @@
 /// versioned epochs ("generations"):
 ///
 ///   * Every generation is an immutable snapshot — a built PAG plus a
-///     QueryScheduler pinned to the SharedSummaryStore generation the
+///     QueryScheduler pinned to the TieredSummaryStore generation the
 ///     PAG corresponds to.  Queries grab the current generation (one
 ///     shared_ptr copy under a mutex) and run entirely against it,
 ///     without ever touching the editable program.  A finalized PAG
@@ -30,7 +30,7 @@
 ///     produced by pag::buildPAGDelta (only the edited methods'
 ///     segments re-lower, node ids never move), the shared
 ///     incremental::planInvalidation drops exactly the summaries the
-///     edit can invalidate from the service-owned SharedSummaryStore,
+///     edit can invalidate from the service-owned TieredSummaryStore,
 ///     the store generation bumps and the current-generation pointer
 ///     swaps.  In-flight batches keep their old generation alive
 ///     through the shared_ptr and drain against the old PAG; their
@@ -54,10 +54,9 @@
 ///     dropped.
 ///
 ///   * Optionally (ServiceOptions::Presummarize), every published
-///     commit hands a background warmer the set of variables the commit
-///     invalidated (plus the recently-queried hot set), and the warmer
-///     bulk-computes their PPTA summaries in parallel — on the
-///     committer's ExecContext, pinned to the published store
+///     commit hands a background warmer the recently-queried hot set,
+///     and the warmer bulk-computes its PPTA summaries in parallel — on
+///     the committer's ExecContext, pinned to the published store
 ///     generation — and publishes them into the TieredSummaryStore.
 ///     The first query batch after a commit then hits warm summaries
 ///     instead of computing them one query-miss at a time.  A newer
@@ -85,10 +84,13 @@
 /// can no longer be trusted (the graphs themselves share chunks safely
 /// regardless — chunk refcounts do not care about lineage).
 ///
-/// Warm summaries survive commits per the invalidation policy, and
-/// survive restarts through saveSummaries()/loadSummaries() (SummaryIO;
+/// Warm summaries survive commits — only the edited methods and the
+/// methods whose boundary flags moved lose theirs — and survive
+/// restarts through saveSummaries()/loadSummaries() (SummaryIO;
 /// fingerprint-checked against the current program), so a reopened
-/// service starts warm.
+/// service starts warm.  This service is the only edit/commit path: a
+/// single-threaded editor is just a service with the default serial
+/// commit context that waits on every ticket.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,8 +98,8 @@
 #define DYNSUM_SERVICE_ANALYSISSERVICE_H
 
 #include "engine/QueryScheduler.h"
-#include "incremental/EditSession.h"
 #include "incremental/Invalidation.h"
+#include "pag/PAGBuilder.h"
 #include "support/ExecContext.h"
 
 #include <atomic>
@@ -134,34 +136,11 @@ struct OverloadPolicy {
   unsigned MaxCommitBacklog = 0;
 };
 
-/// Which variables the post-commit warmer pre-summarizes (only read
-/// when ServiceOptions::Presummarize is on).
-enum class PresummarizeScope : uint8_t {
-  /// Every variable a recent query batch asked about.  The default:
-  /// re-querying the hot set recomputes exactly the dropped summaries
-  /// on paths clients actually demand, and nothing else — no
-  /// speculative closure of never-queried variables bloating the hot
-  /// tier (measured at 10k methods, speculation grew the store ~1.8x
-  /// and made every fetch of the next batch ~9% slower).
-  Hot,
-  /// The hot set plus every variable owned by an invalidated method —
-  /// speculative: freshly-edited code is likely to be queried next,
-  /// but most of those closures are keys no client ever demanded.
-  HotAndInvalidated,
-  /// Only variables owned by invalidated methods.
-  Invalidated,
-  /// Every variable (a full store fill; expensive, mostly for benches
-  /// and cold-start experiments).
-  All,
-};
-
 /// Service tunables: the engine configuration every generation's
-/// scheduler runs with, the commit invalidation policy, the commit
-/// pipeline's execution context, and the generation-history depth.
+/// scheduler runs with, the commit pipeline's execution context, and
+/// the generation-history depth.
 struct ServiceOptions {
   engine::EngineOptions Engine;
-  incremental::InvalidationPolicy Policy =
-      incremental::InvalidationPolicy::PerMethod;
   /// Execution context the commit pipeline runs on: the shape-
   /// fingerprint sweep, the staged re-lowering, the partitioned CSR
   /// repack and the boundary snapshot/diff all partition over its
@@ -203,21 +182,20 @@ struct ServiceOptions {
   /// Point it at the previous run's SnapshotOnShutdownPath for the
   /// classic warm-restart loop.
   std::string WarmFromDiskPath;
-  /// Lock-stripe count for the summary store's hot tier (rounded up to
-  /// a power of two; 0 = the store default).  More stripes spread
-  /// concurrent fetch/publish traffic across independent locks.
-  unsigned StoreStripes = 0;
   /// Pre-summarize after commits: every published commit enqueues a
   /// background warm pass that bulk-computes PPTA summaries for the
-  /// WarmScope variable set and publishes them into the store at the
-  /// new generation, so the first post-commit batch hits warm.  The
-  /// pass runs on the Commit ExecContext (WorkerPool::run is
-  /// serialized, so warm phases and commit phases interleave safely on
-  /// the same pool) and is superseded — not queued behind — by the next
-  /// commit.  waitForWarm() is the completion fence.
+  /// hot set — every variable a recent query batch asked about — and
+  /// publishes them into the store at the new generation, so the first
+  /// post-commit batch hits warm.  Re-querying the hot set recomputes
+  /// exactly the dropped summaries on paths clients actually demand,
+  /// and nothing else (speculatively warming never-queried variables
+  /// of the edited methods grew the store ~1.8x at 10k methods and made
+  /// every fetch of the next batch ~9% slower).  The pass runs on the
+  /// Commit ExecContext (WorkerPool::run is serialized, so warm phases
+  /// and commit phases interleave safely on the same pool) and is
+  /// superseded — not queued behind — by the next commit.
+  /// waitForWarm() is the completion fence.
   bool Presummarize = false;
-  /// What the warm pass covers (see PresummarizeScope).
-  PresummarizeScope WarmScope = PresummarizeScope::Hot;
 };
 
 /// Outcomes of one service batch plus the generation they were answered
@@ -352,7 +330,7 @@ struct ServiceStats {
   /// invalidation-policy benchmarks.
   engine::StoreCounters Store;
   /// Whether the store currently has a disk tier attached (false after
-  /// a rollback or ClearAll commit detached it).
+  /// a rollback detached it).
   bool DiskTierAttached = false;
   /// Per-stripe counters of the hot tier, stripe 0 first — the bench's
   /// contention columns.  Aggregate file-level counters (DiskCorrupt)
@@ -422,9 +400,10 @@ public:
   /// Publishes pending edits as a new generation per \p Req: snapshots
   /// the previous generation's graph (a copy-on-write chunk-table copy,
   /// not a clone), patches it with a delta build (or a forced full
-  /// re-lower under CommitMode::Scratch), invalidates the shared store
-  /// per the policy, and swaps the current generation — on the calling
-  /// thread, or on the background committer when Req.Background.
+  /// re-lower under CommitMode::Scratch), drops the invalidated
+  /// methods' summaries from the shared store, and swaps the current
+  /// generation — on the calling thread, or on the background
+  /// committer when Req.Background.
   /// In-flight batches drain against the previous generation.  A clean
   /// commit is a no-op whose ticket completes with empty stats.
   CommitTicket submitCommit(const CommitRequest &Req = CommitRequest());
@@ -581,12 +560,9 @@ private:
     std::vector<ir::VarId> Vars;
   };
 
-  /// Builds the warm set for the just-published generation and queues
-  /// it (caller holds the edit lock).  \p All warms every variable;
-  /// otherwise only variables owned by \p Methods (plus the hot set,
-  /// scope permitting).
-  void scheduleWarm(bool All,
-                    const std::unordered_set<ir::MethodId> &Methods);
+  /// Queues a warm pass over the hot set for the just-published
+  /// generation (caller holds the edit lock).
+  void scheduleWarm();
 
   /// Body of the background warmer thread (started lazily by the first
   /// scheduled job).
@@ -614,16 +590,16 @@ private:
   /// forward from the previous commit's invalidation diff (guarded by
   /// EditMutex).  Valid only while CachedBoundaryGen matches the
   /// current generation number; a commit consumes it instead of
-  /// re-sweeping the whole graph, and rollback / ClearAll commits
-  /// invalidate it so the next commit falls back to snapshotBoundary.
+  /// re-sweeping the whole graph, and rollback invalidates it so the
+  /// next commit falls back to snapshotBoundary.
   incremental::BoundarySnapshot CachedBoundary;
   static constexpr uint64_t kNoBoundaryGen = ~uint64_t(0);
   uint64_t CachedBoundaryGen = kNoBoundaryGen;
 
   /// The cross-generation summary store; generations are the store's.
-  /// Striped per Opts.StoreStripes; the constructor may attach a
-  /// memory-mapped disk tier (Opts.WarmFromDiskPath).
-  engine::SharedSummaryStore Store;
+  /// The constructor may attach a memory-mapped disk tier
+  /// (Opts.WarmFromDiskPath).
+  engine::TieredSummaryStore Store;
 
   /// Guards the Current pointer swap/copy and the history ring.
   mutable std::mutex GenMutex;
@@ -661,9 +637,9 @@ private:
   bool WarmInFlight = false;
   bool WarmStop = false;
 
-  /// Recently queried variables (guarded by HotMutex) — the hot set
-  /// behind PresummarizeScope::Hot/HotAndInvalidated.  Capped; recording
-  /// stops at the cap rather than evicting (plenty for a warm pass).
+  /// Recently queried variables (guarded by HotMutex) — the set the
+  /// warm pass covers.  Capped; recording stops at the cap rather than
+  /// evicting (plenty for a warm pass).
   mutable std::mutex HotMutex;
   std::unordered_set<ir::VarId> HotSet;
   static constexpr size_t kHotSetCap = 65536;

@@ -7,9 +7,8 @@
 /// place; PAG snapshots destroyed in arbitrary order must free their
 /// chunks exactly once (ASan/TSan verify); retained memory must be
 /// proportional to the committed deltas, not to program size; and the
-/// shared-store warm path (service.shared_over_clear_all in the bench)
-/// is pinned here via the per-store counters so the cliff ROADMAP.md
-/// records cannot regress silently again.
+/// shared-store warm path is pinned here via the per-store counters so
+/// the cliff ROADMAP.md records cannot regress silently again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +35,6 @@
 using namespace dynsum;
 using namespace dynsum::service;
 using analysis::AnalysisOptions;
-using incremental::InvalidationPolicy;
 using workload::applyScriptEdit;
 using workload::probeVariables;
 
@@ -317,55 +315,36 @@ TEST(GenerationTest, RollbackRestoresCaptureAnswers) {
   EXPECT_EQ(S.queryVars(Probe).Outcomes.size(), Probe.size());
 }
 
-/// Pins the shared-store warm path behind service.shared_over_clear_all:
-/// after a single-method commit, the PerMethod policy must keep most of
-/// the store warm (hits on the re-query, few invalidations) while
-/// ClearAll drops everything.  The per-store counters make the cliff
-/// measurable — if an engine change stops fetching from the shared
-/// store or invalidation turns indiscriminate, this fails before the
+/// Pins the shared-store warm path: after a single-method commit,
+/// per-method invalidation must keep most of the store warm — the
+/// commit drops fewer entries than the store held, and the re-query
+/// hits the survivors.  The per-store counters make the cliff
+/// measurable: if an engine change stops fetching from the shared
+/// store or invalidation turns indiscriminate, this fails before any
 /// bench does.
-TEST(GenerationTest, SharedStoreStaysWarmOverClearAll) {
-  auto RunPolicy = [](InvalidationPolicy Policy) {
-    ServiceOptions SO;
-    SO.Policy = Policy;
-    AnalysisService S(makeWorkload(), SO);
-    std::vector<ir::VarId> Probe = probeVariables(S.program(), 61);
-    (void)S.queryVars(Probe); // warm the store
+TEST(GenerationTest, SharedStoreStaysWarmAcrossCommit) {
+  AnalysisService S(makeWorkload());
+  std::vector<ir::VarId> Probe = probeVariables(S.program(), 61);
+  (void)S.queryVars(Probe); // warm the store
+  size_t Warm = S.stats().StoreSize;
+  ASSERT_GT(Warm, 0u);
 
-    S.editProgram([](ir::Program &Q) { return applyScriptEdit(Q, 0); });
-    S.submitCommit().wait();
-
-    engine::StoreCounters Before = S.stats().Store;
-    (void)S.queryVars(Probe); // the gated re-query
-    engine::StoreCounters After = S.stats().Store;
-
-    struct Result {
-      uint64_t RequeryHits;
-      uint64_t Invalidated;
-      size_t StoreSize;
-    };
-    return Result{After.Hits - Before.Hits, After.Invalidated,
-                  S.stats().StoreSize};
-  };
-
-  auto PerMethod = RunPolicy(InvalidationPolicy::PerMethod);
-  auto ClearAll = RunPolicy(InvalidationPolicy::ClearAll);
-
-  // ClearAll drops the whole store at commit; PerMethod drops only the
-  // edited methods' summaries.
-  EXPECT_GT(PerMethod.StoreSize, 0u);
-  EXPECT_LT(PerMethod.Invalidated, ClearAll.Invalidated)
+  S.editProgram([](ir::Program &Q) { return applyScriptEdit(Q, 0); });
+  incremental::CommitStats CS = S.submitCommit().wait();
+  EXPECT_EQ(CS.SummariesBefore, Warm);
+  EXPECT_LT(CS.SummariesDropped, CS.SummariesBefore)
       << "per-method invalidation turned indiscriminate";
+  EXPECT_GT(S.stats().StoreSize, 0u);
 
-  // The warm path: the re-query after a PerMethod commit must hit the
-  // surviving entries.  This is the regression service.shared_over_
-  // clear_all measures (1.80x in PR 3, 0.18x in PR 5) — if this count
-  // collapses, the warm path is gone no matter what the bench ratio
-  // says about wall clock.
-  EXPECT_GT(PerMethod.RequeryHits, 0u)
+  engine::StoreCounters Before = S.stats().Store;
+  (void)S.queryVars(Probe); // the gated re-query
+  engine::StoreCounters After = S.stats().Store;
+
+  // The warm path: the re-query after a commit must hit the surviving
+  // entries.  If this count collapses, the warm path is gone no matter
+  // what a wall-clock ratio says.
+  EXPECT_GT(After.Hits - Before.Hits, 0u)
       << "re-query after a per-method commit never hit the shared store";
-  EXPECT_GT(PerMethod.RequeryHits, ClearAll.RequeryHits)
-      << "PerMethod must stay warmer than ClearAll across a commit";
 }
 
 /// The O(delta) invalidation patch (carried snapshot + the repack's

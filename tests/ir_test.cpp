@@ -299,6 +299,39 @@ method m() {
   EXPECT_TRUE(Found);
 }
 
+/// Typed locals created interleaved across methods (the way edits and
+/// generated programs create them) must each be declared inside their
+/// own method, in creation order, and survive a print/parse/print
+/// round-trip byte for byte.
+TEST(PrinterTest, InterleavedTypedLocalsRoundTrip) {
+  ProgramBuilder B;
+  B.cls("T");
+  B.cls("U");
+  MethodId A = B.method("a", {{"p", "T"}});
+  MethodId C = B.method("c");
+  B.declareLocal(A, "x", "T");
+  B.declareLocal(C, "y", "U");
+  B.var(A, "plain");
+  B.declareLocal(A, "z", "U");
+  B.declareLocal(C, "w", "T");
+  B.alloc(A, "x", "T");
+  B.alloc(C, "w", "T");
+  B.assign(A, "plain", "p");
+
+  std::string Printed = programToString(B.program());
+  EXPECT_NE(Printed.find("method a(p : T) {\n  var x : T\n  var z : U\n"),
+            std::string::npos)
+      << Printed;
+  EXPECT_NE(Printed.find("method c() {\n  var y : U\n  var w : T\n"),
+            std::string::npos)
+      << Printed;
+
+  ParseResult Reparsed = parseProgram(Printed);
+  ASSERT_TRUE(Reparsed.ok()) << Reparsed.Error << "\n" << Printed;
+  EXPECT_TRUE(Fingerprint::of(B.program()) == Fingerprint::of(*Reparsed.Prog));
+  EXPECT_EQ(programToString(*Reparsed.Prog), Printed);
+}
+
 //===----------------------------------------------------------------------===//
 // Validator
 //===----------------------------------------------------------------------===//

@@ -228,7 +228,7 @@ TEST(GraphVizTest, EscapesQuotes) {
 }
 
 //===----------------------------------------------------------------------===//
-// Delta rebuild (the EditSession/AnalysisService substrate)
+// Delta rebuild (the AnalysisService commit substrate)
 //===----------------------------------------------------------------------===//
 
 TEST(RebuildTest, ForcedFullRelowerReproducesBuildExactly) {

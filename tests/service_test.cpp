@@ -1,9 +1,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests of the concurrent incremental layer: SharedSummaryStore
+/// Tests of the concurrent incremental layer: TieredSummaryStore
 /// generations (stale-epoch fetches must miss, stale publishes must
-/// drop), EditSession's shared-store wiring, and the AnalysisService —
+/// drop), commit invalidation of the service's store, and the
+/// AnalysisService —
 /// including a commit-while-querying run at 4 reader threads whose
 /// every batch must match a cold serial rerun of the generation it
 /// reports.
@@ -32,7 +33,6 @@ using analysis::PortableSummary;
 using analysis::RsmState;
 using incremental::CommitStats;
 using incremental::InvalidationPlan;
-using incremental::InvalidationPolicy;
 
 namespace {
 
@@ -82,7 +82,7 @@ method main() {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// SharedSummaryStore generations
+// TieredSummaryStore generations
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -118,7 +118,7 @@ PortableSummary summaryWithObject(ir::AllocId A) {
 
 TEST(SummaryStoreGenerationTest, StaleFetchMissesAndStalePublishDrops) {
   StoreFixture F;
-  SharedSummaryStore Store;
+  TieredSummaryStore Store;
   EXPECT_EQ(Store.generation(), 0u);
 
   pag::NodeId N = F.nodeOf("main", "a");
@@ -159,7 +159,7 @@ TEST(SummaryStoreGenerationTest, BeginGenerationDropsInvalidatedMethods) {
   ir::MethodId Main = F.Prog->findFreeMethod(F.Prog->names().lookup("main"));
   ASSERT_NE(Helper, Main);
 
-  SharedSummaryStore Store;
+  TieredSummaryStore Store;
   pag::NodeId InHelper = F.nodeOf("helper", "t");
   pag::NodeId InMain = F.nodeOf("main", "box");
   Store.publish(InHelper, {}, RsmState::S1, summaryWithObject(1));
@@ -178,7 +178,7 @@ TEST(SummaryStoreGenerationTest, BeginGenerationDropsInvalidatedMethods) {
 
 TEST(SummaryStoreGenerationTest, StableIdsKeepObjectKeysAcrossVarAddition) {
   StoreFixture F;
-  SharedSummaryStore Store;
+  TieredSummaryStore Store;
 
   // Key a summary at an object node with a tuple at the same object.
   // Under the pre-delta design, adding a variable shifted every object
@@ -208,14 +208,14 @@ TEST(SummaryStoreGenerationTest, StableIdsKeepObjectKeysAcrossVarAddition) {
 }
 
 //===----------------------------------------------------------------------===//
-// EditSession <-> SharedSummaryStore wiring
+// Commit invalidation of the service's store
 //===----------------------------------------------------------------------===//
 
-/// The boundary-flag regression, through the *store*: session A warms
-/// the shared store while helper() is uncalled; adding the first call
-/// must drop helper's store entries so a second reader never reuses the
-/// stale (boundary-tuple-free) summary.
-TEST(EditSessionStoreTest, CommitInvalidatesAttachedStore) {
+/// The boundary-flag regression, through the *store*: a batch warms the
+/// store while helper() is uncalled; adding the first call must drop
+/// helper's store entries, so the next batch — whose workers trust only
+/// the store — never reuses the stale (boundary-tuple-free) summary.
+TEST(ServiceStoreTest, FirstCallCommitDropsStaleStoreEntries) {
   auto P = parse(R"(
     class A {}
     class Box { fields f }
@@ -229,64 +229,37 @@ TEST(EditSessionStoreTest, CommitInvalidatesAttachedStore) {
       box.f = a
     }
   )");
-  ir::Program &Prog = *P;
-  ir::MethodId Main = Prog.findFreeMethod(Prog.names().lookup("main"));
-  ir::MethodId Helper = Prog.findFreeMethod(Prog.names().lookup("helper"));
-  ir::VarId T = varOf(Prog, "helper", "t");
-  ir::VarId Box = varOf(Prog, "main", "box");
+  ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
+  ir::MethodId Helper = P->findFreeMethod(P->names().lookup("helper"));
+  ir::VarId T = varOf(*P, "helper", "t");
+  ir::VarId Box = varOf(*P, "main", "box");
 
-  SharedSummaryStore Store;
-  incremental::EditSession S(std::move(P), AnalysisOptions());
-  S.attachStore(&Store);
-
-  // Warm both the private cache and the store while helper is uncalled.
-  EXPECT_TRUE(S.queryVar(T).Targets.empty());
-  ASSERT_GT(Store.size(), 0u);
-  uint64_t GenBefore = Store.generation();
+  AnalysisService S(std::move(P));
+  // Warm the store while helper is uncalled.
+  EXPECT_TRUE(S.queryVar(T).AllocSites.empty());
+  ASSERT_GT(S.stats().StoreSize, 0u);
+  uint64_t GenBefore = S.generation();
 
   // Add "r = call helper(box)" to main.
-  ir::Program &Q = S.program();
-  ir::VarId R = Q.createLocal(Q.name("r"), Main, ir::kObjectType);
-  ir::Statement Call;
-  Call.Kind = ir::StmtKind::Call;
-  Call.Dst = R;
-  Call.Callee = Helper;
-  Call.Call = Q.createCallSite(Main, 99);
-  Call.Args.push_back(Box);
-  S.addStatement(Main, std::move(Call));
-  CommitStats Stats = S.commit();
+  S.editProgram([&](ir::Program &Q) {
+    ir::VarId R = Q.createLocal(Q.name("r"), Main, ir::kObjectType);
+    ir::Statement Call;
+    Call.Kind = ir::StmtKind::Call;
+    Call.Dst = R;
+    Call.Callee = Helper;
+    Call.Call = Q.createCallSite(Main, 99);
+    Call.Args.push_back(Box);
+    Q.addStatement(Main, std::move(Call));
+    return std::vector<ir::MethodId>{};
+  });
+  CommitStats Stats = S.submitCommit().wait();
   EXPECT_GT(Stats.SharedSummariesDropped, 0u);
-  EXPECT_GT(Store.generation(), GenBefore);
+  EXPECT_EQ(Stats.SharedSummariesDropped, Stats.SummariesDropped);
+  EXPECT_GT(S.generation(), GenBefore);
 
-  // The session's own warm answer must see the new flow...
-  analysis::QueryResult RT = S.queryVar(T);
-  EXPECT_EQ(RT.Targets.size(), 1u);
-  EXPECT_TRUE(RT.contains(allocOf(S.program(), "oa")));
-
-  // ...and so must a second, cold reader that trusts only the store.
-  analysis::DynSumAnalysis Reader(S.graph(), AnalysisOptions());
-  Reader.setSummaryExchange(&Store);
-  analysis::QueryResult RR = Reader.query(S.graph().nodeOfVar(T));
-  EXPECT_EQ(RR.allocSites(), RT.allocSites());
-}
-
-TEST(EditSessionStoreTest, ClearAllPolicyClearsAttachedStore) {
-  auto P = parse(kTwoMethodSource);
-  ir::VarId R = varOf(*P, "main", "r");
-  ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
-
-  SharedSummaryStore Store;
-  incremental::EditSession S(std::move(P), AnalysisOptions(),
-                             InvalidationPolicy::ClearAll);
-  S.attachStore(&Store);
-  S.queryVar(R);
-  ASSERT_GT(Store.size(), 0u);
-
-  S.markDirty(Main);
-  CommitStats Stats = S.commit();
-  EXPECT_EQ(Stats.SharedSummariesDropped, Stats.SummariesBefore);
-  EXPECT_EQ(Store.size(), 0u);
-  EXPECT_EQ(Store.generation(), 1u);
+  engine::QueryOutcome RT = S.queryVar(T);
+  EXPECT_EQ(RT.AllocSites,
+            std::vector<ir::AllocId>{allocOf(S.program(), "oa")});
 }
 
 //===----------------------------------------------------------------------===//
@@ -417,6 +390,32 @@ TEST(AnalysisServiceTest, PerMethodCommitKeepsStoreWarm) {
   ASSERT_EQ(Warm.Outcomes.size(), Probe.size());
   for (size_t I = 0; I < Probe.size(); ++I)
     EXPECT_EQ(Warm.Outcomes[I].AllocSites, Expected[I]) << "probe " << I;
+}
+
+/// CommitStats times seven disjoint phases of the pipeline — clone,
+/// shape, lower, apply, repack, invalidation plan and store sweep — so
+/// on every commit (first full diff, carried O(delta) patch, forced
+/// scratch re-lower) they sum to no more than the commit's wall time.
+TEST(AnalysisServiceTest, CommitPhasesSumToAtMostCommitTime) {
+  AnalysisService S(makeWorkload());
+  (void)S.queryVars(probeVariables(S.program(), 61)); // fill the store
+  for (unsigned I = 0; I < 4; ++I) {
+    S.editProgram([I](ir::Program &Q) { return applyScriptEdit(Q, I); });
+    CommitStats CS = S.submitCommit(
+        {I == 3 ? CommitMode::Scratch : CommitMode::Delta, false}).wait();
+    ASSERT_EQ(CS.Outcome, incremental::CommitOutcome::Committed);
+    double Phases = CS.CloneSeconds + CS.ShapeSeconds + CS.LowerSeconds +
+                    CS.ApplySeconds + CS.RepackSeconds +
+                    CS.InvalidateSeconds + CS.StoreDropSeconds;
+    for (double P : {CS.CloneSeconds, CS.ShapeSeconds, CS.LowerSeconds,
+                     CS.ApplySeconds, CS.RepackSeconds, CS.InvalidateSeconds,
+                     CS.StoreDropSeconds})
+      EXPECT_GE(P, 0.0);
+    EXPECT_GT(CS.Seconds, 0.0);
+    EXPECT_LE(Phases, CS.Seconds) << "commit " << I;
+    EXPECT_GT(CS.InvalidateSeconds + CS.StoreDropSeconds, 0.0)
+        << "the invalidation and store-sweep phases went untimed";
+  }
 }
 
 TEST(AnalysisServiceTest, SummariesPersistAcrossRestart) {
@@ -618,24 +617,6 @@ TEST(EditClockTest, RemoveOnlyEditInvalidatesSummariesInService) {
   });
   EXPECT_EQ(None, 0u);
   EXPECT_FALSE(S.dirty());
-}
-
-TEST(EditClockTest, RemoveOnlyEditInvalidatesSummariesInSession) {
-  auto P = parse(kTwoMethodSource);
-  ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
-  ir::VarId T = varOf(*P, "helper", "t");
-  ir::AllocId Oa = allocOf(*P, "oa");
-
-  incremental::EditSession S(std::move(P), AnalysisOptions());
-  ASSERT_EQ(S.queryVar(T).allocSites(), std::vector<ir::AllocId>{Oa});
-
-  size_t Removed = S.removeStatements(Main, [](const ir::Statement &St) {
-    return St.Kind == ir::StmtKind::Store;
-  });
-  ASSERT_EQ(Removed, 1u);
-  EXPECT_TRUE(S.dirty()) << "remove-only edit must stamp the edit clock";
-  EXPECT_TRUE(S.queryVar(T).allocSites().empty()) // auto-commits
-      << "stale summary survived a remove-only edit";
 }
 
 TEST(AnalysisServiceTest, ConcurrentCommitsMatchSerialRerun) {
@@ -872,73 +853,41 @@ TEST(AnalysisServiceTest, PresummarizedAnswersEqualColdAcrossCommit) {
     EXPECT_EQ(Warm.Outcomes[I].AllocSites, Expected[I]) << "probe " << I;
 }
 
-/// Under ClearAll every summary is dropped, so scope degenerates to a
-/// whole-program warm: even never-queried variables answer from the
-/// store afterwards.
-TEST(AnalysisServiceTest, PresummarizeClearAllWarmsWholeProgram) {
+/// The warm pass covers only what clients recently queried: variables
+/// the edited method owns that no batch ever asked for are left to
+/// compute on first demand, not speculatively warmed.
+TEST(AnalysisServiceTest, PresummarizeSkipsUnqueriedVars) {
   ServiceOptions SO;
   SO.Presummarize = true;
-  SO.Policy = incremental::InvalidationPolicy::ClearAll;
   AnalysisService S(makeWorkload(), SO);
   std::vector<ir::VarId> Probe = probeVariables(S.program(), 61);
   ASSERT_GT(Probe.size(), 8u);
+  (void)S.queryVars(Probe);
 
-  S.editProgram([](ir::Program &Q) { return applyScriptEdit(Q, 0); });
+  std::vector<ir::MethodId> Edited;
+  S.editProgram([&](ir::Program &Q) {
+    Edited = applyScriptEdit(Q, 0);
+    return Edited;
+  });
   S.submitCommit().wait();
   S.waitForWarm();
   ASSERT_GE(S.stats().WarmRuns, 1u);
+  ASSERT_EQ(Edited.size(), 1u);
 
-  ServiceBatchResult Warm = S.queryVars(Probe);
-  EXPECT_EQ(Warm.Stats.SummariesComputed, 0u)
-      << "a whole-program warm must cover variables never queried before";
-}
+  std::unordered_set<ir::VarId> Probed(Probe.begin(), Probe.end());
+  std::vector<ir::VarId> Unqueried;
+  const std::vector<ir::Variable> &Vars = S.program().variables();
+  for (size_t I = 0; I < Vars.size(); ++I)
+    if (Vars[I].Owner == Edited[0] && !Probed.count(ir::VarId(I)))
+      Unqueried.push_back(ir::VarId(I));
+  ASSERT_GT(Unqueried.size(), 0u)
+      << "the edited method must own variables outside the probe";
+  EXPECT_LE(S.stats().WarmQueries, Probe.size())
+      << "the warm pass must cover the hot set and nothing else";
 
-/// The default Hot scope warms only what clients recently queried; the
-/// speculative HotAndInvalidated scope additionally covers variables
-/// the edited methods own that no batch ever asked for.  Distinguish
-/// them by querying exactly those never-queried variables afterwards:
-/// speculative warming answers them from the store, Hot leaves them to
-/// compute on first demand.
-TEST(AnalysisServiceTest, PresummarizeScopeHotSkipsUnqueriedVars) {
-  for (bool Speculative : {false, true}) {
-    ServiceOptions SO;
-    SO.Presummarize = true;
-    SO.WarmScope = Speculative ? PresummarizeScope::HotAndInvalidated
-                               : PresummarizeScope::Hot;
-    AnalysisService S(makeWorkload(), SO);
-    std::vector<ir::VarId> Probe = probeVariables(S.program(), 61);
-    ASSERT_GT(Probe.size(), 8u);
-    (void)S.queryVars(Probe);
-
-    std::vector<ir::MethodId> Edited;
-    S.editProgram([&](ir::Program &Q) {
-      Edited = applyScriptEdit(Q, 0);
-      return Edited;
-    });
-    S.submitCommit().wait();
-    S.waitForWarm();
-    ASSERT_GE(S.stats().WarmRuns, 1u);
-    ASSERT_EQ(Edited.size(), 1u);
-
-    std::unordered_set<ir::VarId> Probed(Probe.begin(), Probe.end());
-    std::vector<ir::VarId> Unqueried;
-    const std::vector<ir::Variable> &Vars = S.program().variables();
-    for (size_t I = 0; I < Vars.size(); ++I)
-      if (Vars[I].Owner == Edited[0] && !Probed.count(ir::VarId(I)))
-        Unqueried.push_back(ir::VarId(I));
-    ASSERT_GT(Unqueried.size(), 0u)
-        << "the edited method must own variables outside the probe";
-
-    ServiceBatchResult R = S.queryVars(Unqueried);
-    if (Speculative)
-      EXPECT_EQ(R.Stats.SummariesComputed, 0u)
-          << "HotAndInvalidated must have warmed the edited method's "
-             "variables";
-    else
-      EXPECT_GT(R.Stats.SummariesComputed, 0u)
-          << "Hot scope must not speculatively warm never-queried "
-             "variables";
-  }
+  ServiceBatchResult R = S.queryVars(Unqueried);
+  EXPECT_GT(R.Stats.SummariesComputed, 0u)
+      << "never-queried variables must not be speculatively warmed";
 }
 
 /// Presummarize off is the default and must stay inert: no warm passes,

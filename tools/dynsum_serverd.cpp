@@ -17,8 +17,8 @@
 ///                                         saved on drain, warm-attached
 ///                                         on the next start)
 ///                  [--threads=N] [--commit-threads=N]
-///                  [--keep-generations=N] [--store-stripes=N]
-///                  [--presummarize] [--budget=N]
+///                  [--keep-generations=N] [--presummarize]
+///                  [--budget=N]
 ///                  [--max-connections=N]
 ///                  [--max-active-batches=N] [--resume-active-batches=N]
 ///                  [--max-commit-backlog=N]
@@ -57,7 +57,7 @@ int usage() {
             "                      [--snapshot-dir=dir] [--threads=N] "
             "[--commit-threads=N]\n"
             "                      [--keep-generations=N] "
-            "[--store-stripes=N] [--presummarize]\n"
+            "[--presummarize]\n"
             "                      [--budget=N] [--max-connections=N]\n"
             "                      [--max-active-batches=N] "
             "[--resume-active-batches=N]\n"
@@ -79,7 +79,6 @@ int runServerd(int argc, char **argv) {
   SO.QueryThreads = asUnsigned(Args.getInt("threads", 2));
   SO.CommitThreads = asUnsigned(Args.getInt("commit-threads", 1));
   SO.KeepGenerations = asUnsigned(Args.getInt("keep-generations", 0));
-  SO.StoreStripes = asUnsigned(Args.getInt("store-stripes", 0));
   SO.Presummarize = Args.has("presummarize");
   SO.SnapshotDir = Args.getString("snapshot-dir", "");
   SO.Analysis.BudgetPerQuery = uint64_t(Args.getInt("budget", 75000));

@@ -19,7 +19,7 @@
 ///                 [--stats] [--dump-ir] [--dump-pag]
 ///                 [--serve] [--save-summaries=path] [--load-summaries=path]
 ///                 [--snapshot=path] [--warm-from-disk=path]
-///                 [--store-stripes=N] [--presummarize]
+///                 [--presummarize]
 ///
 /// --threads routes queries and clients through the parallel batch
 /// engine (dynsum only; 0 = one worker per hardware thread); summary
@@ -42,11 +42,11 @@
 /// tier — first queries answer from disk hits instead of recomputing.
 /// --presummarize (serve only) turns on the post-commit warmer: after
 /// each published commit a background pass re-summarizes the
-/// recently-queried variables (PresummarizeScope::Hot), so the first
-/// batch after an edit hits the store instead of computing.
+/// recently-queried variables (the hot set), so the first batch after
+/// an edit hits the store instead of computing.
 ///
 /// --warm-from-disk=path warms from a different file than the shutdown
-/// snapshot; --store-stripes=N sets the hot tier's lock-stripe count.
+/// snapshot.
 ///
 /// Examples:
 ///   dynsum prog.mj --client=all
@@ -143,8 +143,7 @@ int usage() {
             "              [--budget=N] [--max-queries=N] [--threads=N]"
             " [--commit-threads=N] [--stats] [--dump-pag] [--serve]\n"
             "              [--save-summaries=path] [--load-summaries=path]\n"
-            "              [--snapshot=path] [--warm-from-disk=path]"
-            " [--store-stripes=N]\n";
+            "              [--snapshot=path] [--warm-from-disk=path]\n";
   return 2;
 }
 
@@ -156,13 +155,12 @@ int runServe(std::unique_ptr<ir::Program> Prog,
              const analysis::AnalysisOptions &AO, unsigned Threads,
              unsigned CommitThreads, unsigned KeepGenerations,
              const std::string &Snapshot, const std::string &WarmPath,
-             unsigned StoreStripes, bool Presummarize) {
+             bool Presummarize) {
   service::ServiceOptions SO;
   SO.Engine.NumThreads = Threads;
   SO.Engine.Analysis = AO;
   SO.Commit = CommitThreads;
   SO.KeepGenerations = KeepGenerations;
-  SO.StoreStripes = StoreStripes;
   SO.Presummarize = Presummarize;
   // --snapshot=path is the warm-restart loop in one flag: save the
   // store there on shutdown AND attach the same file as the disk tier
@@ -260,14 +258,12 @@ int runTool(int argc, char **argv) {
     int64_t ServeThreads = Args.getInt("threads", 4);
     int64_t CommitThreads = Args.getInt("commit-threads", 1);
     int64_t KeepGenerations = Args.getInt("keep-generations", 0);
-    int64_t StoreStripes = Args.getInt("store-stripes", 0);
     return runServe(std::move(Prog), ServeOpts,
                     ServeThreads < 0 ? 0u : unsigned(ServeThreads),
                     CommitThreads < 0 ? 0u : unsigned(CommitThreads),
                     KeepGenerations < 0 ? 0u : unsigned(KeepGenerations),
                     Args.getString("snapshot", ""),
                     Args.getString("warm-from-disk", ""),
-                    StoreStripes < 0 ? 0u : unsigned(StoreStripes),
                     Args.has("presummarize"));
   }
 
