@@ -166,18 +166,6 @@ void BM_AndersenSolve(benchmark::State &State) {
 }
 BENCHMARK(BM_AndersenSolve)->Arg(1)->Arg(2)->Arg(8);
 
-void BM_AndersenSolve_DenseBaseline(benchmark::State &State) {
-  // The pre-hybrid representation (one dense BitVector per node):
-  // the single-thread baseline the hybrid set is measured against.
-  GenProg &G = GenProg::get();
-  for (auto _ : State) {
-    AndersenAnalysis A(*G.Built.Graph, 1, PtsRep::Dense);
-    A.solve();
-    benchmark::DoNotOptimize(A.propagationCount());
-  }
-}
-BENCHMARK(BM_AndersenSolve_DenseBaseline);
-
 void BM_PAGBuild(benchmark::State &State) {
   GenProg &G = GenProg::get();
   for (auto _ : State) {
@@ -253,7 +241,7 @@ template <typename Fn> double measureRate(double MinSeconds, Fn &&Body) {
 
 //===----------------------------------------------------------------------===//
 // Whole-program solve scaling: Andersen at a requested program size,
-// across thread counts and set representations.  Opt-in via
+// across thread counts.  Opt-in via
 // --andersen-methods=N (a 10k-method solve is too slow for the default
 // microbench run); results ride the same trajectory JSON.
 //===----------------------------------------------------------------------===//
@@ -261,7 +249,7 @@ template <typename Fn> double measureRate(double MinSeconds, Fn &&Body) {
 struct AndersenSection {
   bool Ran = false;
   uint64_t Methods = 0, Nodes = 0, Edges = 0;
-  double T1Ms = 0, T2Ms = 0, T8Ms = 0, DenseT1Ms = 0;
+  double T1Ms = 0, T2Ms = 0, T8Ms = 0;
 };
 
 AndersenSection runAndersenSection(uint64_t Methods) {
@@ -279,11 +267,11 @@ AndersenSection runAndersenSection(uint64_t Methods) {
   // (the t8-vs-t1 ratio it feeds is ~2x on real cores — well above
   // single-rep noise).  Progress goes to stderr as each config lands.
   const int Reps = Methods >= 5000 ? 1 : 3;
-  auto SolveMs = [&](const char *Name, unsigned Threads, PtsRep Rep) {
+  auto SolveMs = [&](const char *Name, unsigned Threads) {
     double Best = 1e300;
     for (int I = 0; I < Reps; ++I) {
       Timer T;
-      AndersenAnalysis A(*Built.Graph, Threads, Rep);
+      AndersenAnalysis A(*Built.Graph, Threads);
       A.solve();
       benchmark::DoNotOptimize(A.propagationCount());
       Best = std::min(Best, T.seconds() * 1e3);
@@ -293,7 +281,7 @@ AndersenSection runAndersenSection(uint64_t Methods) {
 #if defined(__GLIBC__)
     // A 10k-method solve allocates gigabytes of short-lived delta and
     // staging storage across per-thread arenas; return it to the OS
-    // between configs so four back-to-back solves don't stack their
+    // between configs so back-to-back solves don't stack their
     // high-water marks into an OOM on CI-sized runners.
     malloc_trim(0);
 #endif
@@ -304,29 +292,17 @@ AndersenSection runAndersenSection(uint64_t Methods) {
   R.Methods = Prog->methods().size();
   R.Nodes = Built.Graph->numNodes();
   R.Edges = Built.Graph->numEdges();
-  R.T1Ms = SolveMs("hybrid t1", 1, PtsRep::Hybrid);
-  R.T2Ms = SolveMs("hybrid t2", 2, PtsRep::Hybrid);
-  R.T8Ms = SolveMs("hybrid t8", 8, PtsRep::Hybrid);
-  // The dense baseline keeps a universe-sized bitmap per node — ~30 GB
-  // at 10k methods, which the hybrid representation exists to avoid —
-  // so the A/B only runs at scales where dense fits CI-sized memory
-  // (the CI hybrid-vs-dense gate uses a second, smaller invocation).
-  if (Methods <= 5000)
-    R.DenseT1Ms = SolveMs("dense t1", 1, PtsRep::Dense);
-  else
-    std::fprintf(stderr, "andersen dense t1: skipped (universe bitmaps "
-                         "need ~30 GB at this scale)\n");
+  R.T1Ms = SolveMs("t1", 1);
+  R.T2Ms = SolveMs("t2", 2);
+  R.T8Ms = SolveMs("t8", 8);
 
   std::printf("\n-- Andersen whole-program solve (soot-c, %llu methods, "
               "%llu nodes / %llu edges) --\n",
               (unsigned long long)R.Methods, (unsigned long long)R.Nodes,
               (unsigned long long)R.Edges);
-  std::printf("hybrid t1: %9.2f ms\n", R.T1Ms);
-  std::printf("hybrid t2: %9.2f ms  (%.2fx)\n", R.T2Ms, R.T1Ms / R.T2Ms);
-  std::printf("hybrid t8: %9.2f ms  (%.2fx)\n", R.T8Ms, R.T1Ms / R.T8Ms);
-  if (R.DenseT1Ms > 0)
-    std::printf("dense  t1: %9.2f ms  (hybrid %.2fx vs dense)\n", R.DenseT1Ms,
-                R.DenseT1Ms / R.T1Ms);
+  std::printf("t1: %9.2f ms\n", R.T1Ms);
+  std::printf("t2: %9.2f ms  (%.2fx)\n", R.T2Ms, R.T1Ms / R.T2Ms);
+  std::printf("t8: %9.2f ms  (%.2fx)\n", R.T8Ms, R.T1Ms / R.T8Ms);
   return R;
 }
 
@@ -386,11 +362,6 @@ void runThroughputSection(const std::string &JsonPath,
     J.set("andersen.t2_ms", Andersen.T2Ms);
     J.set("andersen.t8_ms", Andersen.T8Ms);
     J.set("andersen.speedup_8v1", Andersen.T1Ms / Andersen.T8Ms);
-    if (Andersen.DenseT1Ms > 0) {
-      J.set("andersen.dense_t1_ms", Andersen.DenseT1Ms);
-      J.set("andersen.hybrid_speedup_vs_dense",
-            Andersen.DenseT1Ms / Andersen.T1Ms);
-    }
   }
   if (J.writeFile(JsonPath))
     std::printf("throughput JSON written to %s\n", JsonPath.c_str());

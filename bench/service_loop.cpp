@@ -945,129 +945,6 @@ int main(int argc, char **argv) {
     }
   }
 
-  //===--------------------------------------------------------------------===//
-  // Part 8: post-commit pre-summarization — the first batch after a
-  // commit with the warmer on vs off at 10k methods.  The warmer
-  // re-summarizes the recently-queried variables (the default Hot
-  // scope) right after the commit publishes, so the timed re-query
-  // should find everything it demands already in the store and
-  // recompute ~nothing; the cold side pays that recomputation inside
-  // the batch.  The headline result is the counter pair (cold
-  // recomputes every invalidated summary in-batch, warm recomputes
-  // zero): on this workload a summary computation costs about the same
-  // as a store fetch (Part 7 measures recompute-all vs fetch-all at
-  // ~1.05x), so wall time lands near parity and the CI gate bounds it
-  // instead of racing it.  Probes are budget-filtered for the same
-  // reason as Part 7, and both sides run one engine thread so the
-  // comparison is about where the work happens, not how many cores
-  // chew on it.
-  //===--------------------------------------------------------------------===//
-
-  {
-    CommandLine CL(argc, argv);
-    uint64_t MaxMethods = uint64_t(CL.getInt("commit-max-methods", 100000));
-    if (10000 <= MaxMethods) {
-      outs() << "\n=== Pre-summarization: first batch after commit, warmer "
-                "on vs off (10k methods, 1 engine thread) ===\n\n";
-      workload::GenOptions Gen;
-      Gen.Scale = 10000.0 / 3400.0;
-      Gen.Seed = Opts.Seed;
-
-      // Pass 1 (untimed): find the budget-bound probes (see Part 7).
-      std::vector<ir::VarId> Probe;
-      uint64_t BudgetBound = 0;
-      size_t ProbeTotal = 0;
-      {
-        ServiceOptions SO;
-        SO.Engine = Opts.engineOptions(1);
-        AnalysisService S(
-            workload::generateProgram(workload::specByName("soot-c"), Gen),
-            SO);
-        std::vector<ir::VarId> Full = probeVariables(S.program(), 61);
-        ProbeTotal = Full.size();
-        ServiceBatchResult R = S.queryVars(Full);
-        for (size_t I = 0; I < Full.size(); ++I) {
-          if (I < R.Outcomes.size() && R.Outcomes[I].BudgetExceeded)
-            ++BudgetBound;
-          else
-            Probe.push_back(Full[I]);
-        }
-      }
-
-      // Interleaved min-of-3, cold then warmed each rep (see Part 7 on
-      // why interleaving beats one-shot timing on a shared host).
-      const int Reps = 3;
-      double ColdMs = 0.0, WarmMs = 0.0;
-      uint64_t ColdComputed = 0, WarmComputed = 0;
-      uint64_t WarmRuns = 0, WarmVars = 0, WarmerComputed = 0;
-      for (int Rep = 0; Rep < Reps; ++Rep) {
-        for (int Warmed = 0; Warmed < 2; ++Warmed) {
-          ServiceOptions SO;
-          SO.Engine = Opts.engineOptions(1);
-          SO.Presummarize = Warmed != 0;
-          AnalysisService S(
-              workload::generateProgram(workload::specByName("soot-c"), Gen),
-              SO);
-          (void)S.queryVars(Probe); // warm the store + the hot set
-          // Ten distinct method edits under one commit: a single edit
-          // drops only ~10^2 summaries, which vanishes in timing noise
-          // on the 12k-query batch; ten make the cold side's in-batch
-          // recompute count unambiguous in the gated counters.
-          for (unsigned E = 0; E < 10; ++E)
-            S.editProgram([E](ir::Program &P) { return applyEdit(P, E); });
-          S.submitCommit().wait();
-          if (Warmed)
-            S.waitForWarm(); // warmer drains before the timed batch
-          Timer TB;
-          ServiceBatchResult First = S.queryVars(Probe);
-          double Ms = TB.seconds() * 1e3;
-          if (Warmed) {
-            if (Rep == 0 || Ms < WarmMs) {
-              WarmMs = Ms;
-              WarmComputed = First.Stats.SummariesComputed;
-              ServiceStats SS = S.stats();
-              WarmRuns = SS.WarmRuns;
-              WarmVars = SS.WarmQueries;
-              WarmerComputed = SS.WarmSummariesComputed;
-            }
-          } else if (Rep == 0 || Ms < ColdMs) {
-            ColdMs = Ms;
-            ColdComputed = First.Stats.SummariesComputed;
-          }
-        }
-      }
-
-      outs() << "probe: " << uint64_t(ProbeTotal) << " queries, "
-             << BudgetBound << " budget-bound (excluded), "
-             << uint64_t(Probe.size()) << " timed\n";
-      outs() << "first batch after commit: cold (min of " << uint64_t(Reps)
-             << ") ";
-      outs().writeFixed(ColdMs, 2);
-      outs() << " ms (" << ColdComputed
-             << " summaries recomputed in-batch); pre-summarized (min of "
-             << uint64_t(Reps) << ") ";
-      outs().writeFixed(WarmMs, 2);
-      outs() << " ms (" << WarmComputed << " recomputed; warmer ran "
-             << WarmRuns << "x over " << WarmVars
-             << " vars, computing " << WarmerComputed
-             << " summaries off the query path)\n";
-
-      Json.set("presummarize.methods", uint64_t(10000));
-      Json.set("presummarize.reps", uint64_t(Reps));
-      Json.set("presummarize.probe_total", uint64_t(ProbeTotal));
-      Json.set("presummarize.probe_budget_bound", BudgetBound);
-      Json.set("presummarize.probe_timed", uint64_t(Probe.size()));
-      Json.set("presummarize.cold_first_batch_ms", ColdMs);
-      Json.set("presummarize.warm_first_batch_ms", WarmMs);
-      Json.set("presummarize.speedup", WarmMs > 0.0 ? ColdMs / WarmMs : 0.0);
-      Json.set("presummarize.cold_recomputed", ColdComputed);
-      Json.set("presummarize.warm_recomputed", WarmComputed);
-      Json.set("presummarize.warm_runs", WarmRuns);
-      Json.set("presummarize.warm_vars", WarmVars);
-      Json.set("presummarize.warmer_computed", WarmerComputed);
-    }
-  }
-
   // The shared store's operation counters from the Part 1 shared-store
   // run: the hit/invalidation mix behind service.shared_store_qps.
   // That run serves batches on Opts.Threads engine threads, so its

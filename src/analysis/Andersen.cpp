@@ -11,9 +11,7 @@
 ///
 /// Two solvers share that constraint system:
 ///
-///  * solveSerial: the FIFO worklist of the seed, templated over the
-///    points-to container (HybridPtsSet by default, BitVector for the
-///    Dense A/B baseline).
+///  * solveSerial: the FIFO worklist of the seed.
 ///
 ///  * solveParallel: bulk-synchronous rounds over a frontier of nodes
 ///    with un-propagated deltas.  Each round runs three phases under
@@ -67,8 +65,8 @@ struct Access {
 
 /// Splits the PAG into the solver's edge classes.  \p OnSeed(Dst) fires
 /// after each New-edge seed lands in its points-to set.
-template <class SetVec, class SeedFn, class CopyFn>
-void classifyEdges(const PAG &Graph, SetVec &Pts,
+template <class SeedFn, class CopyFn>
+void classifyEdges(const PAG &Graph, std::vector<HybridPtsSet> &Pts,
                    std::vector<std::vector<Access>> &LoadsAt,
                    std::vector<std::vector<Access>> &StoresAt, SeedFn OnSeed,
                    CopyFn AddCopy) {
@@ -99,27 +97,11 @@ void classifyEdges(const PAG &Graph, SetVec &Pts,
   }
 }
 
-/// Member iteration for the serial discovery loop.  The dense baseline
-/// keeps the seed's alloc-universe probe scan; the hybrid set walks its
-/// members directly — O(|set|) instead of O(universe), the sparse
-/// representation's main win.  Collected into a scratch vector because
-/// the caller creates field nodes (growing the set vector) mid-loop.
-void collectMembers(const BitVector &S, size_t Universe,
-                    std::vector<uint32_t> &Out) {
-  for (size_t A = 0; A < Universe; ++A)
-    if (S.test(A))
-      Out.push_back(uint32_t(A));
-}
-void collectMembers(const HybridPtsSet &S, size_t,
-                    std::vector<uint32_t> &Out) {
-  S.forEach([&](uint32_t A) { Out.push_back(A); });
-}
-
 } // namespace
 
-AndersenAnalysis::AndersenAnalysis(const PAG &G, unsigned Threads, PtsRep Rep)
+AndersenAnalysis::AndersenAnalysis(const PAG &G, unsigned Threads)
     : Graph(G), NumAllocs(G.program().allocs().size()),
-      NumThreads(clampThreads(Threads)), Rep(Rep) {}
+      NumThreads(clampThreads(Threads)) {}
 
 bool AndersenAnalysis::addCopy(uint32_t Src, uint32_t Dst) {
   if (!CopyEdges.insert(Src, Dst))
@@ -132,17 +114,15 @@ void AndersenAnalysis::solve() {
   if (Solved)
     return;
   Solved = true;
-  if (Rep == PtsRep::Dense)
-    solveSerial(DensePts); // Dense is the serial A/B baseline
-  else if (NumThreads > 1)
+  if (NumThreads > 1)
     solveParallel();
   else
-    solveSerial(Pts);
+    solveSerial();
 }
 
-template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
+void AndersenAnalysis::solveSerial() {
   size_t NumVars = Graph.numNodes();
-  P.assign(NumVars, typename SetVec::value_type(NumAllocs));
+  Pts.assign(NumVars, HybridPtsSet(NumAllocs));
   CopySucc.assign(NumVars, {});
   CopyEdges.clear();
 
@@ -169,15 +149,15 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
     auto It = FieldNodes.find(Key);
     if (It != FieldNodes.end())
       return It->second;
-    uint32_t Id = uint32_t(P.size());
-    P.emplace_back(NumAllocs);
+    uint32_t Id = uint32_t(Pts.size());
+    Pts.emplace_back(NumAllocs);
     CopySucc.emplace_back();
     FieldNodes.emplace(Key, Id);
     FieldNodeKeys.emplace_back(A, F);
     return Id;
   };
 
-  classifyEdges(Graph, P, LoadsAt, StoresAt, Enqueue,
+  classifyEdges(Graph, Pts, LoadsAt, StoresAt, Enqueue,
                 [&](uint32_t Src, uint32_t Dst) { addCopy(Src, Dst); });
 
   // InList is sized for variable nodes only; field nodes always enqueue.
@@ -189,9 +169,11 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
     ++Propagations;
 
     // Discover dynamic copies induced by field accesses on N's objects.
+    // Members are collected into a scratch vector first because the
+    // loop creates field nodes (growing Pts) mid-walk.
     if (N < NumVars && (!LoadsAt[N].empty() || !StoresAt[N].empty())) {
       Members.clear();
-      collectMembers(P[N], NumAllocs, Members);
+      Pts[N].forEach([&](uint32_t A) { Members.push_back(A); });
       for (uint32_t A : Members) {
         for (const Access &L : LoadsAt[N]) {
           uint32_t FN = FieldNodeOf(ir::AllocId(A), L.F);
@@ -207,12 +189,9 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
     }
 
     // Propagate N's set over its copy successors.
-    for (uint32_t Succ : CopySucc[N]) {
-      if (P[Succ].size() != P[N].size())
-        P[Succ].resize(NumAllocs); // defensive; sizes always match
-      if (P[Succ].orInPlace(P[N]))
+    for (uint32_t Succ : CopySucc[N])
+      if (Pts[Succ].orInPlace(Pts[N]))
         Enqueue(Succ);
-    }
   }
 }
 
@@ -397,19 +376,13 @@ void AndersenAnalysis::solveParallel() {
 std::vector<ir::AllocId> AndersenAnalysis::allocSites(NodeId V) const {
   assert(Solved && "query before solve()");
   std::vector<ir::AllocId> Out;
-  if (Rep == PtsRep::Dense) {
-    for (size_t A = 0; A < NumAllocs; ++A)
-      if (DensePts[V].test(A))
-        Out.push_back(ir::AllocId(A));
-  } else {
-    Pts[V].forEach([&](uint32_t A) { Out.push_back(ir::AllocId(A)); });
-  }
+  Pts[V].forEach([&](uint32_t A) { Out.push_back(ir::AllocId(A)); });
   return Out;
 }
 
 bool AndersenAnalysis::pointsTo(NodeId V, ir::AllocId A) const {
   assert(Solved && "query before solve()");
-  return Rep == PtsRep::Dense ? DensePts[V].test(A) : Pts[V].test(A);
+  return Pts[V].test(A);
 }
 
 std::vector<ir::AllocId>

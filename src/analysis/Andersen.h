@@ -33,20 +33,13 @@
 namespace dynsum {
 namespace analysis {
 
-/// Which container backs the solver's points-to sets.  Hybrid is the
-/// default everywhere; Dense keeps the seed BitVector representation
-/// alive as an in-run A/B baseline for benches and equivalence tests
-/// (Dense always solves serially).
-enum class PtsRep { Hybrid, Dense };
-
 /// Whole-program inclusion-based solver over a finalized PAG.
 class AndersenAnalysis {
 public:
   /// \p Threads > 1 selects the sharded bulk-synchronous solver
   /// (0 = one worker per hardware thread).  Results are identical at
   /// every thread count.
-  explicit AndersenAnalysis(const pag::PAG &G, unsigned Threads = 1,
-                            PtsRep Rep = PtsRep::Hybrid);
+  explicit AndersenAnalysis(const pag::PAG &G, unsigned Threads = 1);
 
   /// Runs to fixpoint.  Idempotent.
   void solve();
@@ -65,7 +58,7 @@ public:
   uint64_t propagationCount() const { return Propagations; }
 
 private:
-  template <class SetVec> void solveSerial(SetVec &P);
+  void solveSerial();
   void solveParallel();
 
   /// Adds a dynamic copy edge Src -> Dst; returns true when new.
@@ -75,15 +68,12 @@ private:
   const pag::PAG &Graph;
   size_t NumAllocs;
   unsigned NumThreads;
-  PtsRep Rep;
   bool Solved = false;
   uint64_t Propagations = 0;
 
   /// Extended node space: variable nodes first, then one node per
-  /// touched (object, field) pair, created on demand.  Exactly one of
-  /// Pts / DensePts is populated, selected by Rep.
+  /// touched (object, field) pair, created on demand.
   std::vector<HybridPtsSet> Pts;               // by extended node
-  std::vector<BitVector> DensePts;             // Rep == Dense only
   std::vector<std::vector<uint32_t>> CopySucc; // dynamic + static copies
   FlatPairSet CopyEdges;                       // (src, dst) membership
   std::unordered_map<uint64_t, uint32_t> FieldNodes; // (A,F) -> ext node

@@ -44,9 +44,8 @@ namespace engine {
 /// Monotonic operation counters of one summary store (readable from any
 /// thread; each counter is updated with relaxed atomics, so a snapshot
 /// is approximate while writers race but exact once quiescent).  These
-/// are the store-side observability the invalidation-policy benchmarks
-/// key off: a policy that over-invalidates shows up as Invalidated
-/// spikes and a collapsing Hits/Fetches ratio, cross-thread
+/// are the store-side observability: over-invalidation shows up as
+/// Invalidated spikes and a collapsing Hits/Fetches ratio, cross-thread
 /// serialization shows up in LockContended, and the Disk* family
 /// measures what the mmap'd tier contributed after a warm restart.
 struct StoreCounters {

@@ -406,10 +406,6 @@ CommandStatus CommandInterpreter::runStats(OStream &Out) {
         << " probes hit, " << SS.Store.Promoted << " promoted, "
         << SS.Store.DiskStale << " stale, " << SS.Store.DiskCorrupt
         << " corrupt records\n";
-  if (SS.WarmRuns > 0)
-    Out << "presummarize: " << SS.WarmRuns << " warm passes, "
-        << SS.WarmQueries << " vars warmed, " << SS.WarmSummariesComputed
-        << " summaries computed\n";
   if (SS.Commits > 0) {
     Out << "last commit ";
     Out.writeFixed(SS.LastCommitSeconds * 1e3, 2);
@@ -453,7 +449,6 @@ CommandStatus CommandInterpreter::execute(const std::string &Line,
     return runCommit(W, Out, Err);
   if (Cmd == "wait" && W.size() == 1) {
     S.waitForCommits();
-    S.waitForWarm(); // immediate unless Presummarize
     Out << "generation " << S.generation() << " (async queue drained)\n";
     return CommandStatus::Ok;
   }

@@ -105,7 +105,7 @@ private:
 } // namespace
 
 AnalysisServer::AnalysisServer(ServerOptions O) : Opts(std::move(O)) {
-  // ONE pool shared by every tenant's commit pipeline and warm passes:
+  // ONE pool shared by every tenant's commit pipeline:
   // WorkerPool::run() is internally serialized, so tenants' phases
   // interleave on the same threads instead of each tenant parking its
   // own idle pool.
@@ -127,7 +127,6 @@ bool AnalysisServer::addTenant(const std::string &Name,
   SO.Engine.Analysis = Opts.Analysis;
   SO.Commit = CommitCtx;
   SO.KeepGenerations = Opts.KeepGenerations;
-  SO.Presummarize = Opts.Presummarize;
   SO.Overload = Opts.Overload;
   if (!Opts.SnapshotDir.empty()) {
     std::string Snapshot = Opts.SnapshotDir + "/" + Name + ".dsum";

@@ -69,8 +69,6 @@ struct ServerOptions {
   unsigned CommitThreads = 1;
   /// Per-tenant retained-generation count (rollback window).
   unsigned KeepGenerations = 0;
-  /// Per-tenant post-commit warm pass.
-  bool Presummarize = false;
   /// Per-tenant load-shedding watermarks (defaults disable shedding).
   service::OverloadPolicy Overload;
   /// When nonempty, each tenant snapshots to <SnapshotDir>/<name>.dsum

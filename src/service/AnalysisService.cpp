@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <unordered_set>
 
 using namespace dynsum;
 using namespace dynsum::service;
@@ -81,17 +82,6 @@ AnalysisService::~AnalysisService() {
   }
   if (Committer.joinable())
     Committer.join();
-  // The warmer stops after the committer: the committer's last commit
-  // may have queued one final warm job, and the warmer drains its
-  // pending slot before exiting, so the shutdown snapshot below covers
-  // the warmed summaries too.
-  {
-    std::lock_guard<std::mutex> Lock(WarmMutex);
-    WarmStop = true;
-    WarmCv.notify_all();
-  }
-  if (Warmer.joinable())
-    Warmer.join();
   // Graceful snapshot-to-disk: best effort, after the committer has
   // drained so the snapshot covers every accepted commit.  Shutdown
   // must never throw; a failed save just means a cold next start.
@@ -315,8 +305,6 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
   TotalCommitMicros.fetch_add(Micros, std::memory_order_relaxed);
   LastCommitRelowered.store(Stats.MethodsRelowered,
                             std::memory_order_relaxed);
-  if (Opts.Presummarize)
-    scheduleWarm();
   return Stats;
 }
 
@@ -462,98 +450,6 @@ void AnalysisService::waitForCommits() {
 }
 
 //===----------------------------------------------------------------------===//
-// Post-commit pre-summarization
-//===----------------------------------------------------------------------===//
-//
-// A successful commit queues one warm job: the recently-queried hot
-// set, against the generation it published.  Hot variables whose
-// summaries the commit dropped recompute them; the rest cost one store
-// hit each.  A single warmer thread runs jobs newest-wins — a commit
-// racing ahead of a queued pass simply replaces it, and a pass racing a
-// commit is harmless because it publishes through an epoch pinned to
-// its own generation: the store's gate drops stale entries.  The pass
-// fans out over the commit ExecContext; WorkerPool::run is internally
-// serialized, so sharing the committer's pool costs ordering, never
-// correctness.
-
-void AnalysisService::scheduleWarm() {
-  std::shared_ptr<const Generation> Gen = current();
-  // Id order keeps the pass deterministic; variables the published
-  // generation does not know are skipped.
-  std::vector<ir::VarId> Vars;
-  {
-    std::lock_guard<std::mutex> Lock(HotMutex);
-    for (ir::VarId V : HotSet)
-      if (V < Gen->NumVars)
-        Vars.push_back(V);
-  }
-  if (Vars.empty())
-    return;
-  std::sort(Vars.begin(), Vars.end());
-
-  std::lock_guard<std::mutex> Lock(WarmMutex);
-  if (WarmStop)
-    return;
-  PendingWarm = WarmJob{std::move(Gen), std::move(Vars)}; // newest wins
-  if (!Warmer.joinable())
-    Warmer = std::thread([this] { warmerLoop(); });
-  WarmCv.notify_one();
-}
-
-void AnalysisService::warmerLoop() {
-  std::unique_lock<std::mutex> Lock(WarmMutex);
-  for (;;) {
-    WarmCv.wait(Lock,
-                [this] { return PendingWarm.has_value() || WarmStop; });
-    if (!PendingWarm) // stop requested and queue drained
-      return;
-    WarmJob Job = std::move(*PendingWarm);
-    PendingWarm.reset();
-    WarmInFlight = true;
-    Lock.unlock();
-    try {
-      runWarmJob(Job);
-    } catch (...) {
-      // Best effort by contract: a failed pass costs cold queries
-      // later, nothing else.
-    }
-    Lock.lock();
-    WarmInFlight = false;
-    WarmIdleCv.notify_all();
-  }
-}
-
-void AnalysisService::runWarmJob(const WarmJob &Job) {
-  if (Store.generation() != Job.Gen->Number)
-    return; // superseded before it started
-  WarmRunsCount.fetch_add(1, std::memory_order_relaxed);
-  engine::SummaryStoreEpoch Epoch(Store, Job.Gen->Number);
-  const pag::PAG &G = *Job.Gen->Built->Graph;
-  std::atomic<uint64_t> Computed{0};
-  parallelChunks(
-      Job.Vars.size(), Opts.Commit, [&](size_t Begin, size_t End, unsigned) {
-        analysis::DynSumAnalysis A(G, Opts.Engine.Analysis);
-        A.setSummaryExchange(&Epoch);
-        for (size_t I = Begin; I < End; ++I) {
-          if (Store.generation() != Job.Gen->Number)
-            break; // superseded mid-pass: stop burning cycles
-          A.query(G.nodeOfVar(Job.Vars[I]));
-        }
-        Computed.fetch_add(A.stats().get("dynsum.pptaComputed"),
-                           std::memory_order_relaxed);
-      });
-  WarmQueriesRun.fetch_add(Job.Vars.size(), std::memory_order_relaxed);
-  WarmComputed.fetch_add(Computed.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-}
-
-void AnalysisService::waitForWarm() {
-  std::unique_lock<std::mutex> Lock(WarmMutex);
-  WarmIdleCv.wait(Lock,
-                  [this] { return !PendingWarm.has_value() && !WarmInFlight; });
-}
-
-//===----------------------------------------------------------------------===//
 // Generation history
 //===----------------------------------------------------------------------===//
 
@@ -688,17 +584,6 @@ AnalysisService::runBatch(const std::shared_ptr<const Generation> &Gen,
     }
   }
 
-  // Feed the warmer's hot set (capped; no eviction — a saturated set
-  // is already far more than one warm pass will chew through).
-  if (Opts.Presummarize) {
-    std::lock_guard<std::mutex> Lock(HotMutex);
-    for (ir::VarId V : Vars) {
-      if (HotSet.size() >= kHotSetCap)
-        break;
-      HotSet.insert(V);
-    }
-  }
-
   engine::BatchResult R =
       DL ? Gen->Engine->run(Batch, *DL) : Gen->Engine->run(Batch);
   ActiveBatches.fetch_sub(1, std::memory_order_relaxed);
@@ -805,9 +690,6 @@ ServiceStats AnalysisService::stats() const {
   S.ShedQueries = ShedQueries.load(std::memory_order_relaxed);
   S.TimedOutQueries = TimedOutQueries.load(std::memory_order_relaxed);
   S.CancelledQueries = CancelledQueries.load(std::memory_order_relaxed);
-  S.WarmRuns = WarmRunsCount.load(std::memory_order_relaxed);
-  S.WarmQueries = WarmQueriesRun.load(std::memory_order_relaxed);
-  S.WarmSummariesComputed = WarmComputed.load(std::memory_order_relaxed);
   S.Shedding = SheddingState.load(std::memory_order_relaxed);
   S.Store = Store.counters();
   S.DiskTierAttached = Store.hasDiskTier();

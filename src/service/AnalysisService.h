@@ -53,17 +53,6 @@
 ///     stats.  waitForCommits() is the fence for tickets that were
 ///     dropped.
 ///
-///   * Optionally (ServiceOptions::Presummarize), every published
-///     commit hands a background warmer the recently-queried hot set,
-///     and the warmer bulk-computes its PPTA summaries in parallel — on
-///     the committer's ExecContext, pinned to the published store
-///     generation — and publishes them into the TieredSummaryStore.
-///     The first query batch after a commit then hits warm summaries
-///     instead of computing them one query-miss at a time.  A newer
-///     commit supersedes a queued warm job (newest wins) and stale
-///     publishes drop at the store's epoch gate, so warming can never
-///     pollute a later generation.
-///
 ///   * The commit pipeline shards across ServiceOptions::Commit — a
 ///     support::ExecContext carrying the thread budget and, for budgets
 ///     above one, a persistent WorkerPool every phase of every commit
@@ -109,7 +98,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 namespace dynsum {
@@ -182,20 +170,6 @@ struct ServiceOptions {
   /// Point it at the previous run's SnapshotOnShutdownPath for the
   /// classic warm-restart loop.
   std::string WarmFromDiskPath;
-  /// Pre-summarize after commits: every published commit enqueues a
-  /// background warm pass that bulk-computes PPTA summaries for the
-  /// hot set — every variable a recent query batch asked about — and
-  /// publishes them into the store at the new generation, so the first
-  /// post-commit batch hits warm.  Re-querying the hot set recomputes
-  /// exactly the dropped summaries on paths clients actually demand,
-  /// and nothing else (speculatively warming never-queried variables
-  /// of the edited methods grew the store ~1.8x at 10k methods and made
-  /// every fetch of the next batch ~9% slower).  The pass runs on the
-  /// Commit ExecContext (WorkerPool::run is serialized, so warm phases
-  /// and commit phases interleave safely on the same pool) and is
-  /// superseded — not queued behind — by the next commit.
-  /// waitForWarm() is the completion fence.
-  bool Presummarize = false;
 };
 
 /// Outcomes of one service batch plus the generation they were answered
@@ -318,16 +292,9 @@ struct ServiceStats {
   /// Advisory live flags: quarantine armed / currently shedding.
   bool Quarantined = false;
   bool Shedding = false;
-  /// Post-commit pre-summarization counters: warm passes that ran (a
-  /// superseded job does not count), variables they queried, and
-  /// summaries they actually computed (store hits cost nothing).
-  uint64_t WarmRuns = 0;
-  uint64_t WarmQueries = 0;
-  uint64_t WarmSummariesComputed = 0;
   /// The shared summary store's operation counters (fetch/hit/stale/
   /// publish/invalidation/lock-contention, plus the disk-tier probe/
-  /// hit/promotion counters) — the per-store view behind the
-  /// invalidation-policy benchmarks.
+  /// hit/promotion counters).
   engine::StoreCounters Store;
   /// Whether the store currently has a disk tier attached (false after
   /// a rollback detached it).
@@ -414,12 +381,6 @@ public:
   /// that were dropped; new code should prefer waiting on the ticket
   /// itself.)
   void waitForCommits();
-
-  /// Blocks until no pre-summarization pass is queued or running.
-  /// After it returns (and absent newer commits), every summary the
-  /// latest warm pass covers is resident in the store.  Immediate when
-  /// Presummarize is off.
-  void waitForWarm();
 
   //===------------------------------------------------------------------===//
   // Generation history
@@ -552,29 +513,6 @@ private:
   /// first background submission).
   void committerLoop();
 
-  /// One queued pre-summarization pass: the generation it targets and
-  /// the variables to warm.  Newest wins — a later commit replaces a
-  /// queued job wholesale.
-  struct WarmJob {
-    std::shared_ptr<const Generation> Gen;
-    std::vector<ir::VarId> Vars;
-  };
-
-  /// Queues a warm pass over the hot set for the just-published
-  /// generation (caller holds the edit lock).
-  void scheduleWarm();
-
-  /// Body of the background warmer thread (started lazily by the first
-  /// scheduled job).
-  void warmerLoop();
-
-  /// Runs one pre-summarization pass.  Skips silently if the store has
-  /// moved past the job's generation; otherwise fans the variables out
-  /// over the commit ExecContext and publishes summaries through an
-  /// epoch-pinned exchange, so a racing newer generation drops them at
-  /// the store's gate.
-  void runWarmJob(const WarmJob &Job);
-
   ServiceOptions Opts;
   std::unique_ptr<ir::Program> Prog;
 
@@ -624,26 +562,6 @@ private:
   bool AsyncInFlight = false;
   bool AsyncStop = false;
 
-  /// Pre-summarization warmer (Opts.Presummarize).  WarmMutex guards
-  /// the single pending-job slot and the in-flight marker; WarmCv wakes
-  /// the warmer, WarmIdleCv wakes waitForWarm.  The warm passes
-  /// themselves take no service lock — they query a retained generation
-  /// snapshot and publish through the store's epoch gate.
-  mutable std::mutex WarmMutex;
-  std::condition_variable WarmCv;
-  std::condition_variable WarmIdleCv;
-  std::thread Warmer;
-  std::optional<WarmJob> PendingWarm;
-  bool WarmInFlight = false;
-  bool WarmStop = false;
-
-  /// Recently queried variables (guarded by HotMutex) — the set the
-  /// warm pass covers.  Capped; recording stops at the cap rather than
-  /// evicting (plenty for a warm pass).
-  mutable std::mutex HotMutex;
-  std::unordered_set<ir::VarId> HotSet;
-  static constexpr size_t kHotSetCap = 65536;
-
   /// Poison-edit quarantine (guarded by EditMutex): armed when a commit
   /// fails after its retries, it fails further *background* requests
   /// fast while the program's edit clock still reads QuarantineClock —
@@ -675,10 +593,6 @@ private:
   std::atomic<uint64_t> ShedQueries{0};
   std::atomic<uint64_t> TimedOutQueries{0};
   std::atomic<uint64_t> CancelledQueries{0};
-  /// Warmer counters (see ServiceStats).
-  std::atomic<uint64_t> WarmRunsCount{0};
-  std::atomic<uint64_t> WarmQueriesRun{0};
-  std::atomic<uint64_t> WarmComputed{0};
   /// Admission control: batches currently inside runBatch, plus the
   /// hysteresis state (true between the high and low watermarks).
   std::atomic<unsigned> ActiveBatches{0};

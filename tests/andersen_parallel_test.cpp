@@ -7,8 +7,7 @@
 /// fixpoint of the serial worklist at every thread count — not an
 /// approximation, not a reordering: for every PAG node the allocation
 /// set is element-for-element identical, and for every (object, field)
-/// pair the field set is too.  The Dense (seed BitVector) baseline is
-/// held to the same standard, which pins the HybridPtsSet migration.
+/// pair the field set is too.
 ///
 /// Runs under TSan in CI, so the three-phase round discipline (frozen
 /// deltas, owner-sharded writes, single-writer apply) is also checked
@@ -43,8 +42,6 @@ Solvers solveAllVariants(uint64_t Seed) {
   Solvers S;
   S.Built = pag::buildPAG(*Compiled.Prog);
   S.All.push_back(std::make_unique<AndersenAnalysis>(*S.Built.Graph));
-  S.All.push_back(std::make_unique<AndersenAnalysis>(*S.Built.Graph, 1,
-                                                     PtsRep::Dense));
   S.All.push_back(std::make_unique<AndersenAnalysis>(*S.Built.Graph, 2));
   S.All.push_back(std::make_unique<AndersenAnalysis>(*S.Built.Graph, 8));
   for (auto &A : S.All)
@@ -58,8 +55,7 @@ TEST_P(AndersenParallelTest, BitIdenticalAtEveryThreadCount) {
   Solvers S = solveAllVariants(GetParam());
   const pag::PAG &G = *S.Built.Graph;
   const AndersenAnalysis &Ref = *S.All[0];
-  static const char *Names[] = {"serial-hybrid", "serial-dense", "parallel-2",
-                                "parallel-8"};
+  static const char *Names[] = {"serial", "parallel-2", "parallel-8"};
 
   for (size_t V = 0; V < G.numNodes(); ++V) {
     auto Expect = Ref.allocSites(pag::NodeId(V));

@@ -204,6 +204,27 @@ TEST(CommandInterpreter, EditCommitQueryRoundTrip) {
   EXPECT_NE(Reply.find("generation 1"), std::string::npos) << Reply;
 }
 
+/// "wait" fences a background commit: its reply names the generation
+/// the drained queue published, and the next query already sees the
+/// edit.
+TEST(CommandInterpreter, WaitDrainsAsyncCommit) {
+  auto S = makeService();
+  CommandInterpreter I(*S);
+  CommandStatus St;
+  run(I, "alloc Main.main s1 String", &St);
+  EXPECT_EQ(St, CommandStatus::Ok);
+  std::string Reply = run(I, "commit --async", &St);
+  EXPECT_EQ(St, CommandStatus::Ok);
+  EXPECT_NE(Reply.find("queued async commit"), std::string::npos) << Reply;
+  Reply = run(I, "wait", &St);
+  EXPECT_EQ(St, CommandStatus::Ok);
+  EXPECT_EQ(S->generation(), 1u);
+  EXPECT_EQ(Reply, "generation " + std::to_string(S->generation()) +
+                       " (async queue drained)\n");
+  Reply = run(I, "query Main.main.s1");
+  EXPECT_NE(Reply.find("s1@serve:String"), std::string::npos) << Reply;
+}
+
 //===----------------------------------------------------------------------===//
 // Shutdown plumbing
 //===----------------------------------------------------------------------===//

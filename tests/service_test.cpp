@@ -811,94 +811,3 @@ TEST(AnalysisServiceTest, EditAfterWarmAttachInvalidatesDiskRecords) {
   EXPECT_GT(After.Store.DiskProbes, 0u);
   std::remove(Path.c_str());
 }
-
-//===----------------------------------------------------------------------===//
-// Post-commit pre-summarization
-//===----------------------------------------------------------------------===//
-
-/// The warmer's whole contract in one scenario: after an edit + commit,
-/// the background pass recomputes the summaries for invalidated and
-/// recently-queried (hot) variables, so re-running the probe batch
-/// computes nothing — and, critically, the pre-summarized answers are
-/// byte-equal to cold ground truth on the edited program.
-TEST(AnalysisServiceTest, PresummarizedAnswersEqualColdAcrossCommit) {
-  auto P = makeWorkload();
-  std::vector<ir::VarId> Probe = probeVariables(*P, 61);
-  ASSERT_GT(Probe.size(), 8u);
-
-  ServiceOptions SO;
-  SO.Presummarize = true;
-  AnalysisService S(makeWorkload(), SO);
-
-  // Cold pass: computes summaries and records the probe as hot.
-  ServiceBatchResult Cold = S.queryVars(Probe);
-  ASSERT_GT(Cold.Stats.SummariesComputed, 0u);
-
-  S.editProgram([](ir::Program &Q) { return applyScriptEdit(Q, 0); });
-  S.submitCommit().wait();
-  S.waitForWarm();
-
-  ServiceStats SS = S.stats();
-  EXPECT_GE(SS.WarmRuns, 1u);
-  EXPECT_GT(SS.WarmQueries, 0u);
-
-  applyScriptEdit(*P, 0); // mirror the edit on the reference program
-  std::vector<std::vector<ir::AllocId>> Expected = coldAnswers(*P, Probe);
-
-  ServiceBatchResult Warm = S.queryVars(Probe);
-  EXPECT_EQ(Warm.Stats.SummariesComputed, 0u)
-      << "the warm pass must have pre-computed every probe summary";
-  ASSERT_EQ(Warm.Outcomes.size(), Probe.size());
-  for (size_t I = 0; I < Probe.size(); ++I)
-    EXPECT_EQ(Warm.Outcomes[I].AllocSites, Expected[I]) << "probe " << I;
-}
-
-/// The warm pass covers only what clients recently queried: variables
-/// the edited method owns that no batch ever asked for are left to
-/// compute on first demand, not speculatively warmed.
-TEST(AnalysisServiceTest, PresummarizeSkipsUnqueriedVars) {
-  ServiceOptions SO;
-  SO.Presummarize = true;
-  AnalysisService S(makeWorkload(), SO);
-  std::vector<ir::VarId> Probe = probeVariables(S.program(), 61);
-  ASSERT_GT(Probe.size(), 8u);
-  (void)S.queryVars(Probe);
-
-  std::vector<ir::MethodId> Edited;
-  S.editProgram([&](ir::Program &Q) {
-    Edited = applyScriptEdit(Q, 0);
-    return Edited;
-  });
-  S.submitCommit().wait();
-  S.waitForWarm();
-  ASSERT_GE(S.stats().WarmRuns, 1u);
-  ASSERT_EQ(Edited.size(), 1u);
-
-  std::unordered_set<ir::VarId> Probed(Probe.begin(), Probe.end());
-  std::vector<ir::VarId> Unqueried;
-  const std::vector<ir::Variable> &Vars = S.program().variables();
-  for (size_t I = 0; I < Vars.size(); ++I)
-    if (Vars[I].Owner == Edited[0] && !Probed.count(ir::VarId(I)))
-      Unqueried.push_back(ir::VarId(I));
-  ASSERT_GT(Unqueried.size(), 0u)
-      << "the edited method must own variables outside the probe";
-  EXPECT_LE(S.stats().WarmQueries, Probe.size())
-      << "the warm pass must cover the hot set and nothing else";
-
-  ServiceBatchResult R = S.queryVars(Unqueried);
-  EXPECT_GT(R.Stats.SummariesComputed, 0u)
-      << "never-queried variables must not be speculatively warmed";
-}
-
-/// Presummarize off is the default and must stay inert: no warm passes,
-/// and waitForWarm returns immediately instead of hanging.
-TEST(AnalysisServiceTest, PresummarizeOffIsInert) {
-  AnalysisService S(makeWorkload());
-  std::vector<ir::VarId> Probe = probeVariables(S.program(), 13);
-  S.queryVars(Probe);
-  S.editProgram([](ir::Program &Q) { return applyScriptEdit(Q, 0); });
-  S.submitCommit().wait();
-  S.waitForWarm(); // must not block
-  EXPECT_EQ(S.stats().WarmRuns, 0u);
-  EXPECT_EQ(S.stats().WarmQueries, 0u);
-}

@@ -222,6 +222,16 @@ TEST(SummaryIOTest, CorruptMagicVersionAndHeaderRejected) {
   EXPECT_FALSE(R.Ok);
   EXPECT_NE(R.Error.find("unsupported"), std::string::npos);
 
+  // v2 is no longer read either: the header is refused before any
+  // entry is parsed.
+  std::string V2 = Buf;
+  V2[4] = char(2);
+  R = deserializeSummariesReport(*B.DynSum, V2);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_FALSE(R.Error.empty());
+  EXPECT_NE(R.Error.find("this build reads v3"), std::string::npos);
+  EXPECT_EQ(B.DynSum->cacheSize(), 0u);
+
   // A damaged entry count is caught by the header checksum, not by a
   // garbage record walk.
   std::string BadCount = Buf;

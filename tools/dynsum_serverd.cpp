@@ -17,7 +17,7 @@
 ///                                         saved on drain, warm-attached
 ///                                         on the next start)
 ///                  [--threads=N] [--commit-threads=N]
-///                  [--keep-generations=N] [--presummarize]
+///                  [--keep-generations=N]
 ///                  [--budget=N]
 ///                  [--max-connections=N]
 ///                  [--max-active-batches=N] [--resume-active-batches=N]
@@ -56,8 +56,7 @@ int usage() {
             "[--port-file=path]\n"
             "                      [--snapshot-dir=dir] [--threads=N] "
             "[--commit-threads=N]\n"
-            "                      [--keep-generations=N] "
-            "[--presummarize]\n"
+            "                      [--keep-generations=N]\n"
             "                      [--budget=N] [--max-connections=N]\n"
             "                      [--max-active-batches=N] "
             "[--resume-active-batches=N]\n"
@@ -79,7 +78,6 @@ int runServerd(int argc, char **argv) {
   SO.QueryThreads = asUnsigned(Args.getInt("threads", 2));
   SO.CommitThreads = asUnsigned(Args.getInt("commit-threads", 1));
   SO.KeepGenerations = asUnsigned(Args.getInt("keep-generations", 0));
-  SO.Presummarize = Args.has("presummarize");
   SO.SnapshotDir = Args.getString("snapshot-dir", "");
   SO.Analysis.BudgetPerQuery = uint64_t(Args.getInt("budget", 75000));
   SO.Overload.MaxActiveBatches =

@@ -19,7 +19,6 @@
 ///                 [--stats] [--dump-ir] [--dump-pag]
 ///                 [--serve] [--save-summaries=path] [--load-summaries=path]
 ///                 [--snapshot=path] [--warm-from-disk=path]
-///                 [--presummarize]
 ///
 /// --threads routes queries and clients through the parallel batch
 /// engine (dynsum only; 0 = one worker per hardware thread); summary
@@ -40,10 +39,6 @@
 /// saves its summary store there on shutdown and, on the next start,
 /// attaches the same file as the store's memory-mapped read-only disk
 /// tier — first queries answer from disk hits instead of recomputing.
-/// --presummarize (serve only) turns on the post-commit warmer: after
-/// each published commit a background pass re-summarizes the
-/// recently-queried variables (the hot set), so the first batch after
-/// an edit hits the store instead of computing.
 ///
 /// --warm-from-disk=path warms from a different file than the shutdown
 /// snapshot.
@@ -154,14 +149,12 @@ int usage() {
 int runServe(std::unique_ptr<ir::Program> Prog,
              const analysis::AnalysisOptions &AO, unsigned Threads,
              unsigned CommitThreads, unsigned KeepGenerations,
-             const std::string &Snapshot, const std::string &WarmPath,
-             bool Presummarize) {
+             const std::string &Snapshot, const std::string &WarmPath) {
   service::ServiceOptions SO;
   SO.Engine.NumThreads = Threads;
   SO.Engine.Analysis = AO;
   SO.Commit = CommitThreads;
   SO.KeepGenerations = KeepGenerations;
-  SO.Presummarize = Presummarize;
   // --snapshot=path is the warm-restart loop in one flag: save the
   // store there on shutdown AND attach the same file as the disk tier
   // on startup.  --warm-from-disk overrides just the startup side.
@@ -263,8 +256,7 @@ int runTool(int argc, char **argv) {
                     CommitThreads < 0 ? 0u : unsigned(CommitThreads),
                     KeepGenerations < 0 ? 0u : unsigned(KeepGenerations),
                     Args.getString("snapshot", ""),
-                    Args.getString("warm-from-disk", ""),
-                    Args.has("presummarize"));
+                    Args.getString("warm-from-disk", ""));
   }
 
   // Dispatch resolver.
